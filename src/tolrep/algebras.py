@@ -242,10 +242,7 @@ def is_compatible(algebra: Algebra, rel: BinRel) -> bool:
         member[code] = 1
         codes.append(code)
     for arity, sq in _square_tables(algebra):
-        if arity == 0:
-            if not member[sq[0]]:
-                return False
-        elif arity == 1:
+        if arity == 1:
             for c in codes:
                 if not member[sq[c]]:
                     return False

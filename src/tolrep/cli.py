@@ -24,7 +24,7 @@ import sys
 from dataclasses import dataclass, field
 
 from . import decide
-from .algebras import Algebra, OperationTable, classify_relation, expand, is_compatible
+from .algebras import Algebra, OperationTable, classify_relation, expand
 from .corpus import corpus_get, corpus_names
 from .errors import BudgetExceeded, DocumentError
 from .relations import BinRel, classify_shape, compose
@@ -70,6 +70,21 @@ def parse_document(text: str) -> Document:
     def fail(lineno, message):
         raise DocumentError(lineno, message)
 
+    def take(lineno, values):
+        """Add table entries to the pending operation; finish it when full."""
+        nonlocal pending
+        for v in values:
+            if not (0 <= v < n):
+                fail(lineno, f"value {v} outside the universe of size {n}")
+        pending["values"].extend(values)
+        if len(pending["values"]) > pending["want"]:
+            fail(lineno, f"operation {pending['name']!r} expects "
+                         f"{pending['want']} entries, got more")
+        if len(pending["values"]) == pending["want"]:
+            ops.append(OperationTable(pending["name"], pending["arity"],
+                                      tuple(pending["values"])))
+            pending = None
+
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -78,17 +93,7 @@ def parse_document(text: str) -> Document:
         values = _ints(tokens)
         if values is not None:
             if pending is not None:
-                pending["values"].extend(values)
-                for v in values:
-                    if not (0 <= v < n):
-                        fail(lineno, f"value {v} outside the universe of size {n}")
-                if len(pending["values"]) > pending["want"]:
-                    fail(lineno, f"operation {pending['name']!r} expects "
-                                 f"{pending['want']} entries, got more")
-                if len(pending["values"]) == pending["want"]:
-                    ops.append(OperationTable(pending["name"], pending["arity"],
-                                              tuple(pending["values"])))
-                    pending = None
+                take(lineno, values)
                 continue
             if current_rel is not None:
                 if len(values) != 2:
@@ -125,7 +130,7 @@ def parse_document(text: str) -> Document:
             if len(tokens) < 3:
                 fail(lineno, "expected: op NAME ARITY")
             arity = _ints(tokens[2:3])
-            if arity is None or arity[0] < 0:
+            if arity is None or arity[0] < 1:
                 fail(lineno, f"bad arity {tokens[2]!r}")
             if tokens[1] in op_names:
                 fail(lineno, f"duplicate operation name {tokens[1]!r}")
@@ -133,20 +138,9 @@ def parse_document(text: str) -> Document:
             pending = {"name": tokens[1], "arity": arity[0],
                        "want": n ** arity[0], "values": []}
             inline = _ints(tokens[3:])
-            if tokens[3:]:
-                if inline is None:
-                    fail(lineno, "table entries must be integers")
-                for v in inline:
-                    if not (0 <= v < n):
-                        fail(lineno, f"value {v} outside the universe of size {n}")
-                pending["values"].extend(inline)
-                if len(pending["values"]) > pending["want"]:
-                    fail(lineno, f"operation {pending['name']!r} expects "
-                                 f"{pending['want']} entries, got more")
-                if len(pending["values"]) == pending["want"]:
-                    ops.append(OperationTable(pending["name"], pending["arity"],
-                                              tuple(pending["values"])))
-                    pending = None
+            if inline is None:
+                fail(lineno, "table entries must be integers")
+            take(lineno, inline)
         elif keyword == "rel":
             if n is None:
                 fail(lineno, "rel must follow the size line")
@@ -176,11 +170,8 @@ def print_document(doc: Document) -> str:
     lines = [f"algebra {doc.name}", f"size {n}"]
     for op in doc.algebra.ops:
         lines.append(f"op {op.name} {op.arity}")
-        if op.arity == 0:
-            lines.append(str(op.table[0]))
-        else:
-            for start in range(0, len(op.table), n):
-                lines.append(" ".join(str(v) for v in op.table[start:start + n]))
+        for start in range(0, len(op.table), n):
+            lines.append(" ".join(str(v) for v in op.table[start:start + n]))
     for rname, rel in doc.relations.items():
         lines.append(f"rel {rname}")
         for a, b in rel.pairs():
@@ -240,12 +231,12 @@ def _cmd_check(args) -> int:
     rel_name, rel = _pick_relation(doc, args.rel)
     shape = classify_shape(rel)
     kind = classify_relation(doc.algebra, rel)
-    compatible = is_compatible(doc.algebra, rel)
     flags = {
         "reflexive": shape.reflexive,
         "symmetric": shape.symmetric,
         "transitive": shape.transitive,
-        "compatible": compatible,
+        # document relations are reflexive, so compatible means admissible
+        "compatible": kind.admissible,
         "admissible": kind.admissible,
         "tolerance": kind.tolerance,
         "congruence": kind.congruence,
@@ -333,7 +324,7 @@ def _cmd_enumerate(args) -> int:
 def _cmd_permutable(args) -> int:
     doc = _load_document(args.file)
     report = decide.check_permutability(doc.algebra, limit=args.rel_budget)
-    count = len(decide.enumerate_congruences(doc.algebra, limit=args.rel_budget))
+    count = report.congruence_count
     if report.permutable:
         _emit(args, {"command": "permutable", "permutable": True,
                      "congruence_count": count, "counterexample": None},

@@ -3,8 +3,8 @@
 A tolerance theta of a finite algebra is representable when some reflexive
 compatible R satisfies theta = R∘R⁻, and weakly representable when theta
 is an intersection of such composites.  Both questions are decided exactly
-here, alongside the enumerations they lean on (admissible relations,
-tolerances, congruences) and a congruence permutability check.
+here, by one covering search, alongside the enumerations of admissible
+relations, tolerances and congruences and a congruence permutability check.
 """
 
 from __future__ import annotations
@@ -65,6 +65,7 @@ class WeakRepWitness:
 @dataclass(frozen=True)
 class PermutabilityReport:
     permutable: bool
+    congruence_count: int
     counterexample: Optional[tuple[BinRel, BinRel, tuple[int, int]]] = None
 
 
@@ -77,46 +78,51 @@ def _require_tolerance(algebra: Algebra, theta: BinRel) -> None:
         )
 
 
-def find_representation(
-    algebra: Algebra, theta: BinRel, node_budget: int = DEFAULT_NODE_BUDGET
-) -> Optional[RepWitness]:
-    """Search for a reflexive compatible R with R∘R⁻ equal to theta.
+def _budget(limit: int, what: str):
+    """A countdown that raises BudgetExceeded once limit relations are spent."""
+    left = limit
 
-    Any such R sits inside theta (reflexivity of R puts both R and its
-    converse inside R∘R⁻), so the search only ever adds theta pairs.  The
-    state is kept compatibility-closed.  A branch picks the uncovered
-    theta pair (a, b) with the fewest witness candidates and tries each
-    candidate c by adding (a, c) and (b, c); a child is pruned when its
-    closure escapes theta or R∘R⁻ picks up a pair outside theta, which is
-    sound because composition is monotone.  Exhausting the tree proves no
-    witness exists.  Exceeding node_budget raises BudgetExceeded rather
-    than guessing.  Pairs and candidates are explored in ascending index
-    order, so the returned witness is canonical.
+    def spend():
+        nonlocal left
+        if left <= 0:
+            raise BudgetExceeded(f"{what} budget of {limit} exhausted")
+        left -= 1
+
+    return spend
+
+
+def _cover_search(algebra: Algebra, cover: BinRel, allowed: BinRel, spend) -> Optional[BinRel]:
+    """A reflexive compatible R with cover inside R∘R⁻ and R∘R⁻ inside allowed.
+
+    The state is kept compatibility-closed, starting from the reflexive
+    closure.  A branch picks the uncovered off-diagonal cover pair (a, b)
+    with the fewest candidates c in allowed[a] & allowed[b] and tries each
+    by adding (a, c) and (b, c).  A child is pruned when it, or its R∘R⁻,
+    leaves allowed.  Any solution S satisfies S ⊆ S∘S⁻ ⊆ allowed and
+    contains some child of every state below it, so the pruning is sound
+    and exhausting the tree proves no R exists.  cover and allowed must be
+    symmetric.  spend() is called once per relation built.  Pairs and
+    candidates are explored in ascending index order, so the result is
+    canonical.
     """
-    _require_tolerance(algebra, theta)
     n = algebra.n
-    diag = BinRel.diagonal(n)
-    if theta == diag:
-        return RepWitness(diag)
-    trows = theta.rows
-    cover = [(a, b) for a in range(n) for b in range(a + 1, n) if trows[a] >> b & 1]
-    candidates = {(a, b): trows[a] & trows[b] for a, b in cover}
-    remaining = node_budget
+    arows = allowed.rows
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n) if cover.rows[a] >> b & 1]
+    candidates = {(a, b): arows[a] & arows[b] for a, b in pairs}
 
     def extend(rel, a, c, b):
         child = _grow(algebra, rel, ((a, c), (b, c)))
-        if not subset(child, theta):
+        if not subset(child, allowed):
             return None
-        if not subset(compose(child, converse(child)), theta):
+        if not subset(compose(child, converse(child)), allowed):
             return None
         return child
 
     def explore(rel):
-        nonlocal remaining
         rows = rel.rows
         pick = None
         pick_count = 0
-        for a, b in cover:
+        for a, b in pairs:
             if rows[a] & rows[b]:
                 continue
             k = candidates[(a, b)].bit_count()
@@ -127,9 +133,7 @@ def find_representation(
             return rel
         a, b = pick
         for c in _bits(candidates[pick]):
-            if remaining <= 0:
-                raise BudgetExceeded(f"node budget of {node_budget} exhausted")
-            remaining -= 1
+            spend()
             child = extend(rel, a, c, b)
             if child is not None:
                 found = explore(child)
@@ -137,7 +141,22 @@ def find_representation(
                     return found
         return None
 
-    found = explore(closure(algebra, (), "reflexive"))
+    return explore(closure(algebra, (), "reflexive"))
+
+
+def find_representation(
+    algebra: Algebra, theta: BinRel, node_budget: int = DEFAULT_NODE_BUDGET
+) -> Optional[RepWitness]:
+    """Search for a reflexive compatible R with R∘R⁻ equal to theta.
+
+    This is the covering search with theta as both the cover and the
+    allowed relation: every theta pair must land in R∘R⁻ and nothing else
+    may.  Any such R sits inside theta, since reflexivity puts R inside
+    R∘R⁻.  Exceeding node_budget (relations built) raises BudgetExceeded
+    rather than guessing.  The returned witness is canonical.
+    """
+    _require_tolerance(algebra, theta)
+    found = _cover_search(algebra, theta, theta, _budget(node_budget, "node"))
     return RepWitness(found) if found is not None else None
 
 
@@ -275,59 +294,38 @@ def enumerate_admissible(algebra: Algebra, limit: int = DEFAULT_REL_BUDGET) -> A
     return AdmissibleEnumeration(rels, truncated)
 
 
-def _no_ops_separator(n: int, a: int, b: int) -> BinRel:
-    """R with R∘R⁻ missing exactly (a, b) and (b, a): rows a and b shrink
-    to their diagonal bit, every other row is full."""
-    full = (1 << n) - 1
-    rows = [full] * n
-    rows[a] = 1 << a
-    rows[b] = 1 << b
-    return BinRel(n, rows)
-
-
 def find_weak_representation(
     algebra: Algebra, theta: BinRel, rel_budget: int = DEFAULT_REL_BUDGET
 ) -> Optional[WeakRepWitness]:
     """Express theta as an intersection of composites R∘R⁻, if possible.
 
-    Whenever such a family exists, every factor contains theta, so a
-    family keyed by excluded pairs suffices: for each ordered (a, b)
-    outside theta, find one admissible R with theta inside R∘R⁻ and
-    (a, b) not in it.  Separators may legitimately exceed theta, hence
-    the search runs over the full admissible enumeration and keeps the
-    first hit.  Without operations the two-singleton-row construction
-    is a separator for any pair, so no search is needed.  Exceeding
-    rel_budget before the enumeration finishes raises BudgetExceeded.
+    Every factor of such an intersection contains theta, so a family keyed
+    by excluded pairs suffices: for each ordered (a, b) outside theta, one
+    admissible R with theta inside R∘R⁻ and (a, b) outside it.  R∘R⁻ is
+    symmetric, so one covering search per unordered pair {a, b} finds it,
+    with theta as the cover and every pair but (a, b) and (b, a) allowed;
+    its R is stored under both orders.  theta is weakly representable
+    exactly when every search succeeds.  One rel_budget is shared by all
+    the searches and counts every relation they build; exceeding it raises
+    BudgetExceeded.
     """
     _require_tolerance(algebra, theta)
     n = algebra.n
+    full = (1 << n) - 1
+    spend = _budget(rel_budget, "relation")
     excluded = [(a, b) for a in range(n) for b in range(n)
                 if a != b and not theta.rows[a] >> b & 1]
-    if not excluded:
-        return WeakRepWitness({})
-    diag = BinRel.diagonal(n)
-    if theta == diag:
-        return WeakRepWitness({pair: diag for pair in excluded})
-    if not algebra.ops:
-        return WeakRepWitness({(a, b): _no_ops_separator(n, a, b) for a, b in excluded})
-    usable = []
-    count = 0
-    for rel in iter_admissible(algebra):
-        count += 1
-        if count > rel_budget:
-            raise BudgetExceeded(f"admissible enumeration passed the budget of {rel_budget}")
-        composite = compose(rel, converse(rel))
-        if subset(theta, composite):
-            usable.append((rel, composite))
-    separators = {}
+    found = {}
     for a, b in excluded:
-        for rel, composite in usable:
-            if not composite.rows[a] >> b & 1:
-                separators[(a, b)] = rel
-                break
-        else:
-            return None
-    return WeakRepWitness(separators)
+        if a < b:
+            rows = [full] * n
+            rows[a] ^= 1 << b
+            rows[b] ^= 1 << a
+            sep = _cover_search(algebra, theta, BinRel(n, rows), spend)
+            if sep is None:
+                return None
+            found[(a, b)] = sep
+    return WeakRepWitness({(a, b): found[min(a, b), max(a, b)] for a, b in excluded})
 
 
 def verify_weak_representation(algebra: Algebra, theta: BinRel, witness: WeakRepWitness) -> bool:
@@ -456,7 +454,8 @@ def check_permutability(algebra: Algebra, limit: int = DEFAULT_REL_BUDGET) -> Pe
     """Do all congruence pairs satisfy α∘β = β∘α?
 
     Scans ordered pairs in enumeration order and reports the first
-    violation as (α, β, pair) with the pair in α∘β but not β∘α.
+    violation as (α, β, pair) with the pair in α∘β but not β∘α, along
+    with the number of congruences.
     """
     congruences = enumerate_congruences(algebra, limit)
     for i, alpha in enumerate(congruences):
@@ -471,6 +470,6 @@ def check_permutability(algebra: Algebra, limit: int = DEFAULT_REL_BUDGET) -> Pe
                 extra = ab.rows[a] & ~ba.rows[a]
                 if extra:
                     b = (extra & -extra).bit_length() - 1
-                    return PermutabilityReport(False, (alpha, beta, (a, b)))
+                    return PermutabilityReport(False, len(congruences), (alpha, beta, (a, b)))
             # α∘β strictly below β∘α; the swapped scan of (β, α) reports it
-    return PermutabilityReport(True, None)
+    return PermutabilityReport(True, len(congruences))

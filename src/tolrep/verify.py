@@ -20,7 +20,8 @@ from itertools import combinations, product
 from . import cli, corpus, decide
 from .algebras import Algebra, OperationTable, classify_relation, closure, is_compatible
 from .relations import BinRel, compose, converse, intersect, subset
-from .terms import Compose, Intersect, Var, eval_term, is_regular, parse_term, term_to_text
+from .terms import (Compose, Intersect, Var, eval_term, is_regular, parse_term, term_to_text,
+                    term_variables)
 
 __all__ = ["SEED", "CheckResult", "run_all", "CHECKS"]
 
@@ -299,7 +300,7 @@ def check_term_eval_and_roundtrip() -> CheckResult:
         n = rng.randint(1, 5)
         env = {}
         env_sets = {}
-        for var in sorted({v for v in "wxyz"} & _term_vars(term)):
+        for var in sorted({v for v in "wxyz"} & term_variables(term)):
             rel = BinRel(n, [rng.getrandbits(n) for _ in range(n)])
             env[var] = rel
             env_sets[var] = set(rel.pairs())
@@ -310,12 +311,6 @@ def check_term_eval_and_roundtrip() -> CheckResult:
     return CheckResult(name, True,
                        "500 random terms: evaluation matches the pair-set oracle and "
                        "printing round-trips")
-
-
-def _term_vars(term) -> set[str]:
-    if isinstance(term, Var):
-        return {term.name}
-    return _term_vars(term.left) | _term_vars(term.right)
 
 
 def check_oracle_sweep_small_sets() -> CheckResult:

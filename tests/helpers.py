@@ -2,7 +2,8 @@
 
 from hypothesis import strategies as st
 
-from tolrep import Algebra, BinRel, OperationTable
+from tolrep import Algebra, BinRel, OperationTable, compose, converse, subset
+from tolrep.decide import WeakRepWitness, iter_admissible
 from tolrep.terms import Compose, Intersect, Var
 
 
@@ -81,3 +82,30 @@ def eval_oracle(term, env_sets: dict) -> set:
     if isinstance(term, Compose):
         return {(a, b) for a, c in left for c2, b in right if c == c2}
     return left & right
+
+
+def weak_representation_oracle(algebra: Algebra, theta: BinRel):
+    """Weak representability by listing every admissible relation first.
+
+    Keeps, for each ordered pair outside theta, the first admissible R in
+    enumeration order whose composite R∘R⁻ contains theta but not the pair.
+    Independent of the covering search; only usable on small algebras.
+    """
+    n = algebra.n
+    usable = []
+    for rel in iter_admissible(algebra):
+        composite = compose(rel, converse(rel))
+        if subset(theta, composite):
+            usable.append((rel, composite))
+    separators = {}
+    for a in range(n):
+        for b in range(n):
+            if a == b or theta.rows[a] >> b & 1:
+                continue
+            for rel, composite in usable:
+                if not composite.rows[a] >> b & 1:
+                    separators[(a, b)] = rel
+                    break
+            else:
+                return None
+    return WeakRepWitness(separators)

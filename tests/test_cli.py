@@ -130,6 +130,11 @@ class TestCheckCommand:
         path = write(tmp_path, text)
         assert run(["check", path]) == 2
 
+    def test_nullary_operation_rejected_with_line(self, tmp_path, capsys):
+        path = write(tmp_path, "algebra a\nsize 2\nop c 0\n1\nrel r\n")
+        assert run(["check", path]) == 2
+        assert "line 3" in capsys.readouterr().err
+
 
 class TestRepresentCommand:
     def test_positive_with_witness(self, tmp_path, capsys):
@@ -178,6 +183,11 @@ class TestWeakRepresentCommand:
         path = corpus_file(tmp_path, "expand_five")
         assert run(["weak-represent", path, "--rel", "theta"]) == 1
         assert "not weakly representable" in capsys.readouterr().out
+
+    def test_budget_exit_code(self, tmp_path, capsys):
+        path = corpus_file(tmp_path, "s7_semilattice")
+        assert run(["weak-represent", path, "--rel", "theta", "--rel-budget", "1"]) == 3
+        assert "budget" in capsys.readouterr().err
 
     def test_json_separators(self, tmp_path, capsys):
         path = corpus_file(tmp_path, "five_set")

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import algebra_with_rel, algebras, binrels_on
+from helpers import algebra_with_rel, algebras, binrels_on, weak_representation_oracle
 from tolrep import (
     Algebra,
     BinRel,
@@ -12,6 +12,7 @@ from tolrep import (
     OperationTable,
     check_permutability,
     classify_relation,
+    closure,
     compose,
     converse,
     corpus_get,
@@ -19,6 +20,7 @@ from tolrep import (
     enumerate_congruences,
     enumerate_tolerances,
     exhaustive_representation,
+    expand,
     find_representation,
     find_weak_representation,
     intersect,
@@ -261,10 +263,58 @@ class TestWeakRepresentation:
         clipped = type(witness)(dict(list(witness.separators.items())[:-1]))
         assert not verify_weak_representation(entry.algebra, theta, clipped)
 
+    @pytest.mark.parametrize("name", ["s7_semilattice", "l7_majority"])
+    def test_corpus_with_operations(self, name):
+        entry = corpus_get(name)
+        theta = entry.relations["theta"]
+        witness = find_weak_representation(entry.algebra, theta)
+        assert witness is not None
+        assert verify_weak_representation(entry.algebra, theta, witness)
+
+    def test_expansions_agree_with_enumeration_oracle(self):
+        answers = set()
+        for n in (3, 4):
+            for theta in all_reflexive_symmetric(n):
+                alg = expand(Algebra(n), theta)
+                fast = find_weak_representation(alg, theta)
+                slow = weak_representation_oracle(alg, theta)
+                assert (fast is None) == (slow is None)
+                assert fast is None or verify_weak_representation(alg, theta, fast)
+                answers.add(fast is None)
+        assert answers == {True, False}
+
+    def test_separator_may_leave_theta(self):
+        # the separator for (3, 4) needs the pair (1, 0), which theta lacks
+        alg = Algebra(5, (OperationTable("f", 1, (4, 4, 2, 2, 0)),
+                          OperationTable("g", 1, (2, 4, 0, 4, 3))))
+        theta = BinRel(5, [29, 6, 31, 13, 21])
+        witness = find_weak_representation(alg, theta)
+        assert witness is not None
+        assert verify_weak_representation(alg, theta, witness)
+        assert weak_representation_oracle(alg, theta) is not None
+        assert not subset(witness.separators[(3, 4)], theta)
+
     def test_budget(self):
-        entry = corpus_get("expand_five")
+        # s7_semilattice needs 69 relations across its separator searches
+        entry = corpus_get("s7_semilattice")
         with pytest.raises(BudgetExceeded):
             find_weak_representation(entry.algebra, entry.relations["theta"], rel_budget=5)
+
+    @given(st.data())
+    def test_agrees_with_enumeration_oracle(self, data):
+        alg = data.draw(algebras(max_n=4, max_ops=2, max_arity=3))
+        point = st.integers(0, alg.n - 1)
+        seed = data.draw(st.lists(st.tuples(point, point), max_size=3))
+        theta = closure(alg, seed, "reflexive-symmetric")
+        if data.draw(st.booleans()):
+            # expansions make "no" answers common
+            alg = expand(alg, theta)
+        fast = find_weak_representation(alg, theta)
+        slow = weak_representation_oracle(alg, theta)
+        assert (fast is None) == (slow is None)
+        if fast is not None:
+            assert verify_weak_representation(alg, theta, fast)
+            assert verify_weak_representation(alg, theta, slow)
 
 
 class TestToleranceEnumeration:
