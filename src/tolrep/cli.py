@@ -504,3 +504,7 @@ def main() -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 0
     sys.exit(code)
+
+
+if __name__ == "__main__":
+    main()

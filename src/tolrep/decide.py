@@ -16,7 +16,7 @@ from typing import Iterator, Optional
 
 from .algebras import Algebra, _grow, classify_relation, closure, is_compatible
 from .errors import BudgetExceeded
-from .relations import BinRel, _bits, compose, converse, intersect, subset
+from .relations import BinRel, _bits, compose, converse, intersect, subset, union
 
 __all__ = [
     "DEFAULT_NODE_BUDGET",
@@ -352,36 +352,43 @@ def verify_weak_representation(algebra: Algebra, theta: BinRel, witness: WeakRep
     return BinRel(n, meet_rows) == theta
 
 
-def enumerate_tolerances(algebra: Algebra, limit: int = DEFAULT_REL_BUDGET) -> list[BinRel]:
-    """All tolerances, as the join closure of the principal ones.
+def _join_closure(algebra: Algebra, principals, join, limit: int, what: str) -> list[BinRel]:
+    """The lattice generated by the principal relations, sorted by pair count then rows.
 
-    Every tolerance is the join of the principal tolerances of its pairs,
-    so saturating {diagonal, principals} under pairwise join-then-close
-    reaches all of them.  Result is sorted by pair count then rows.
+    Every member is the join of the principals on its pairs, so joining
+    each new item with the principals alone (skipping those already inside
+    it) reaches the whole lattice in O(items × principals) joins.  Raises
+    BudgetExceeded once the lattice has more than limit members.
     """
-    n = algebra.n
-    diag = closure(algebra, (), "reflexive-symmetric")
-    seen = {diag}
-    items = [diag]
-    for a in range(n):
-        for b in range(a + 1, n):
-            t = closure(algebra, ((a, b),), "reflexive-symmetric")
-            if t not in seen:
-                seen.add(t)
-                items.append(t)
-                if len(items) > limit:
-                    raise BudgetExceeded(f"tolerance count passed the budget of {limit}")
-    i = 0
-    while i < len(items):
-        for pred in range(i):
-            joined = _grow(algebra, items[i], items[pred].pairs(), symmetric=True)
-            if joined not in seen:
-                seen.add(joined)
-                items.append(joined)
-                if len(items) > limit:
-                    raise BudgetExceeded(f"tolerance count passed the budget of {limit}")
-        i += 1
+    seen = set()
+    items = []
+
+    def add(rel):
+        if rel not in seen:
+            seen.add(rel)
+            items.append(rel)
+            if len(items) > limit:
+                raise BudgetExceeded(f"{what} count passed the budget of {limit}")
+
+    add(closure(algebra, (), "reflexive-symmetric"))
+    for p in principals:
+        add(p)
+    principals = items[1:]  # deduplicated
+    for item in islice(items, 1, None):  # also visits the items added below
+        for p in principals:
+            if not subset(p, item):
+                add(join(item, p))
     return sorted(items, key=lambda r: (r.pair_count(), r.rows))
+
+
+def enumerate_tolerances(algebra: Algebra, limit: int = DEFAULT_REL_BUDGET) -> list[BinRel]:
+    """All tolerances: _join_closure of the principal tolerances."""
+    n = algebra.n
+    principals = (closure(algebra, ((a, b),), "reflexive-symmetric")
+                  for a in range(n) for b in range(a + 1, n))
+    return _join_closure(algebra, principals,
+                         lambda r, p: _grow(algebra, r, p.pairs(), symmetric=True),
+                         limit, "tolerance")
 
 
 def _transitive_close(rel: BinRel) -> BinRel:
@@ -405,42 +412,19 @@ def _congruence_close(algebra: Algebra, rel: BinRel) -> BinRel:
         trans = _transitive_close(rel)
         if trans == rel:
             return rel
-        added = [(a, b) for a, b in trans.pairs() if not rel.has(a, b)]
-        rel = _grow(algebra, rel, added, symmetric=True)
+        rel = _grow(algebra, rel, trans.pairs(), symmetric=True)
 
 
 def enumerate_congruences(algebra: Algebra, limit: int = DEFAULT_REL_BUDGET) -> list[BinRel]:
-    """Tolerances that are also transitive.
-
-    Saturated directly inside the congruence lattice (principal congruences,
-    then pairwise join-then-close) rather than by filtering the tolerances:
-    the work is then priced by the congruence count, which for something
-    like a semilattice sits far below the tolerance count.
-    """
+    """All congruences: _join_closure of the principal congruences."""
+    # The transitive closure of the union of two congruences is their join,
+    # and it is already compatible: it is the union of the chain (α∘β)^k,
+    # and composites of compatible reflexive relations are compatible.
     n = algebra.n
-    diag = closure(algebra, (), "reflexive-symmetric")
-    seen = {diag}
-    items = [diag]
-    for a in range(n):
-        for b in range(a + 1, n):
-            c = _congruence_close(algebra, closure(algebra, ((a, b),), "reflexive-symmetric"))
-            if c not in seen:
-                seen.add(c)
-                items.append(c)
-                if len(items) > limit:
-                    raise BudgetExceeded(f"congruence count passed the budget of {limit}")
-    i = 0
-    while i < len(items):
-        for pred in range(i):
-            joined = _congruence_close(
-                algebra, _grow(algebra, items[i], items[pred].pairs(), symmetric=True))
-            if joined not in seen:
-                seen.add(joined)
-                items.append(joined)
-                if len(items) > limit:
-                    raise BudgetExceeded(f"congruence count passed the budget of {limit}")
-        i += 1
-    return sorted(items, key=lambda r: (r.pair_count(), r.rows))
+    principals = (_congruence_close(algebra, closure(algebra, ((a, b),), "reflexive-symmetric"))
+                  for a in range(n) for b in range(a + 1, n))
+    return _join_closure(algebra, principals, lambda r, p: _transitive_close(union(r, p)),
+                         limit, "congruence")
 
 
 def tolerance_join(algebra: Algebra, alpha: BinRel, beta: BinRel) -> BinRel:
@@ -455,21 +439,21 @@ def check_permutability(algebra: Algebra, limit: int = DEFAULT_REL_BUDGET) -> Pe
 
     Scans ordered pairs in enumeration order and reports the first
     violation as (α, β, pair) with the pair in α∘β but not β∘α, along
-    with the number of congruences.
+    with the number of congruences.  A pair (α, β) with β listed first
+    was already scanned as (β, α) and found to permute, so each row scans
+    only the congruences after α and every composite is built once.
     """
     congruences = enumerate_congruences(algebra, limit)
     for i, alpha in enumerate(congruences):
-        for k, beta in enumerate(congruences):
-            if i == k:
-                continue
+        for beta in congruences[i + 1:]:
             ab = compose(alpha, beta)
             ba = compose(beta, alpha)
             if ab == ba:
                 continue
+            # β∘α = (α∘β)⁻ has as many pairs as α∘β, so it misses one of them
             for a in range(algebra.n):
                 extra = ab.rows[a] & ~ba.rows[a]
                 if extra:
                     b = (extra & -extra).bit_length() - 1
                     return PermutabilityReport(False, len(congruences), (alpha, beta, (a, b)))
-            # α∘β strictly below β∘α; the swapped scan of (β, α) reports it
     return PermutabilityReport(True, len(congruences))

@@ -2,8 +2,9 @@
 
 from hypothesis import strategies as st
 
-from tolrep import Algebra, BinRel, OperationTable, compose, converse, subset
-from tolrep.decide import WeakRepWitness, iter_admissible
+from tolrep import Algebra, BinRel, BudgetExceeded, OperationTable, closure, compose, converse, subset
+from tolrep.algebras import _grow
+from tolrep.decide import WeakRepWitness, _congruence_close, iter_admissible
 from tolrep.terms import Compose, Intersect, Var
 
 
@@ -109,3 +110,38 @@ def weak_representation_oracle(algebra: Algebra, theta: BinRel):
             else:
                 return None
     return WeakRepWitness(separators)
+
+
+def join_closure_oracle(algebra: Algebra, kind: str, limit: int = 10**5) -> list:
+    """Tolerances or congruences by pairwise join-then-close.
+
+    kind is "tolerances" or "congruences".  Starts from the diagonal and
+    the principal relations, then joins every item with every earlier item
+    and re-closes the join under the operations (for congruences, also
+    under _congruence_close).  O(T²) closures, so only usable on small
+    algebras.  Raises BudgetExceeded once more than limit relations exist.
+    """
+    def close(rel):
+        return _congruence_close(algebra, rel) if kind == "congruences" else rel
+
+    n = algebra.n
+    diag = closure(algebra, (), "reflexive-symmetric")
+    seen = {diag}
+    items = [diag]
+
+    def add(rel):
+        if rel not in seen:
+            seen.add(rel)
+            items.append(rel)
+            if len(items) > limit:
+                raise BudgetExceeded(f"{kind} budget of {limit} passed")
+
+    for a in range(n):
+        for b in range(a + 1, n):
+            add(close(closure(algebra, ((a, b),), "reflexive-symmetric")))
+    i = 0
+    while i < len(items):
+        for pred in range(i):
+            add(close(_grow(algebra, items[i], items[pred].pairs(), symmetric=True)))
+        i += 1
+    return sorted(items, key=lambda r: (r.pair_count(), r.rows))

@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import algebra_with_rel, algebras, binrels_on, weak_representation_oracle
+from helpers import (
+    algebra_with_rel,
+    algebras,
+    binrels_on,
+    join_closure_oracle,
+    weak_representation_oracle,
+)
 from tolrep import (
     Algebra,
     BinRel,
@@ -337,11 +343,16 @@ class TestToleranceEnumeration:
     def test_limit(self):
         with pytest.raises(BudgetExceeded):
             enumerate_tolerances(Algebra(4), limit=3)
+        # the diagonal counts too
+        with pytest.raises(BudgetExceeded):
+            enumerate_tolerances(Algebra(1), limit=0)
 
     def test_congruence_limit(self):
         # Bell(4) = 15 equivalence relations on a bare 4-element universe
         with pytest.raises(BudgetExceeded):
             enumerate_congruences(Algebra(4), limit=3)
+        with pytest.raises(BudgetExceeded):
+            enumerate_congruences(Algebra(1), limit=0)
 
     @given(algebras(max_n=4, max_ops=1))
     def test_matches_brute_force(self, alg):
@@ -368,6 +379,38 @@ class TestToleranceEnumeration:
 
     def test_bare_universe_gives_bell_number(self):
         assert len(enumerate_congruences(Algebra(5))) == 52
+
+    @settings(max_examples=60)
+    @given(algebras(max_n=4, max_arity=3))
+    def test_matches_join_closure_oracle(self, alg):
+        assert enumerate_tolerances(alg) == join_closure_oracle(alg, "tolerances")
+        assert enumerate_congruences(alg) == join_closure_oracle(alg, "congruences")
+
+    @settings(max_examples=40)
+    @given(algebras(max_n=4, max_arity=3), st.sampled_from(["tolerances", "congruences"]))
+    def test_limit_raises_exactly_past_the_count(self, alg, kind):
+        enumerate_kind = enumerate_tolerances if kind == "tolerances" else enumerate_congruences
+        count = len(join_closure_oracle(alg, kind))
+        for limit in {1, count - 1, count, count + 1} - {0}:
+            if count > limit:
+                with pytest.raises(BudgetExceeded):
+                    enumerate_kind(alg, limit=limit)
+            else:
+                assert len(enumerate_kind(alg, limit=limit)) == count
+
+    def test_five_set_tolerances(self):
+        # no operations: every reflexive symmetric relation, 2**10 of them
+        assert len(enumerate_tolerances(corpus_get("five_set").algebra)) == 2**10
+
+    def test_majority_congruences(self):
+        l7 = corpus_get("l7_majority").algebra
+        congs = enumerate_congruences(l7)
+        assert len(congs) == 64
+        for cong in congs:
+            assert classify_relation(l7, cong).congruence
+
+    def test_expansion_congruences(self):
+        assert len(enumerate_congruences(corpus_get("expand_five").algebra)) == 2
 
 
 class TestToleranceJoin:
