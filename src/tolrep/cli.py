@@ -172,11 +172,7 @@ def print_document(doc: Document) -> str:
         lines.append(f"op {op.name} {op.arity}")
         for start in range(0, len(op.table), n):
             lines.append(" ".join(str(v) for v in op.table[start:start + n]))
-    for rname, rel in doc.relations.items():
-        lines.append(f"rel {rname}")
-        for a, b in rel.pairs():
-            if a != b:
-                lines.append(f"{a} {b}")
+    lines += [_rel_block(rname, rel) for rname, rel in doc.relations.items()]
     return "\n".join(lines) + "\n"
 
 
@@ -305,13 +301,13 @@ def _cmd_enumerate(args) -> int:
     doc = _load_document(args.file)
     truncated = False
     if args.kind == "admissible":
-        result = decide.enumerate_admissible(doc.algebra, limit=args.limit or args.rel_budget)
+        result = decide.enumerate_admissible(doc.algebra, limit=args.limit)
         rels = list(result.relations)
         truncated = result.truncated
     elif args.kind == "tolerances":
-        rels = decide.enumerate_tolerances(doc.algebra, limit=args.limit or args.rel_budget)
+        rels = decide.enumerate_tolerances(doc.algebra, limit=args.limit)
     else:
-        rels = decide.enumerate_congruences(doc.algebra, limit=args.limit or args.rel_budget)
+        rels = decide.enumerate_congruences(doc.algebra, limit=args.limit)
     lines = [f"{args.kind} of {doc.name}: {len(rels)}"
              + (" (truncated)" if truncated else "")]
     lines += [f"{i}: {_pairs_text(rel)}" for i, rel in enumerate(rels)]
@@ -410,13 +406,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, file=True, budgets=True):
+    def common(p, file=True):
         if file:
             p.add_argument("file", help="algebra document")
         p.add_argument("--json", action="store_true", help="structured output")
-        if budgets:
-            p.add_argument("--node-budget", type=int, default=decide.DEFAULT_NODE_BUDGET)
-            p.add_argument("--rel-budget", type=int, default=decide.DEFAULT_REL_BUDGET)
 
     p = sub.add_parser("check", help="classify a named relation")
     common(p)
@@ -427,12 +420,14 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--rel", help="relation name (defaults to the only one)")
     p.add_argument("--witness", action="store_true", help="print the witness relation")
+    p.add_argument("--node-budget", type=int, default=decide.DEFAULT_NODE_BUDGET)
     p.set_defaults(handler=_cmd_represent)
 
     p = sub.add_parser("weak-represent", help="decide theta as an intersection of composites")
     common(p)
     p.add_argument("--rel", help="relation name (defaults to the only one)")
     p.add_argument("--witness", action="store_true", help="print the separator family")
+    p.add_argument("--rel-budget", type=int, default=decide.DEFAULT_REL_BUDGET)
     p.set_defaults(handler=_cmd_weak_represent)
 
     p = sub.add_parser("expand", help="adjoin all unary maps into theta-related pairs")
@@ -445,11 +440,12 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--kind", required=True,
                    choices=["admissible", "tolerances", "congruences"])
-    p.add_argument("--limit", type=int, default=None)
+    p.add_argument("--limit", type=int, default=decide.DEFAULT_REL_BUDGET)
     p.set_defaults(handler=_cmd_enumerate)
 
     p = sub.add_parser("permutable", help="check that all congruence pairs permute")
     common(p)
+    p.add_argument("--rel-budget", type=int, default=decide.DEFAULT_REL_BUDGET)
     p.set_defaults(handler=_cmd_permutable)
 
     p = sub.add_parser("term-eval", help="evaluate a composition/intersection term")
@@ -461,18 +457,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_term_eval)
 
     p = sub.add_parser("term-regular", help="check term regularity")
-    common(p, file=False, budgets=False)
+    common(p, file=False)
     p.add_argument("--term", required=True)
     p.set_defaults(handler=_cmd_term_regular)
 
     p = sub.add_parser("corpus", help="print or write a bundled algebra document")
-    common(p, file=False, budgets=False)
+    common(p, file=False)
     p.add_argument("name", help=f"one of: {', '.join(corpus_names())}")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(handler=_cmd_corpus)
 
     p = sub.add_parser("verify-paper", help="run the built-in verification suite")
-    common(p, file=False, budgets=False)
+    common(p, file=False)
     p.set_defaults(handler=_cmd_verify_paper)
 
     return parser

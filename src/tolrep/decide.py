@@ -9,7 +9,6 @@ relations, tolerances and congruences and a congruence permutability check.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, Optional
@@ -256,26 +255,12 @@ def represent_via_order(algebra: Algebra, join: str, meet: str, theta: BinRel) -
 def iter_admissible(algebra: Algebra) -> Iterator[BinRel]:
     """All reflexive compatible relations, breadth-first from the diagonal.
 
-    Each emitted relation is closed; neighbours arise by adding one absent
-    pair and re-closing.  Every admissible relation is reached because any
-    target stays a superset along the way.  Deterministic order, no
-    duplicates.
+    _join_closure over every off-diagonal pair, each join re-closing the
+    relation plus that pair.  Deterministic order, no duplicates.
     """
-    start = closure(algebra, (), "reflexive")
-    seen = {start}
-    queue = deque([start])
     n = algebra.n
-    while queue:
-        rel = queue.popleft()
-        yield rel
-        for a in range(n):
-            row = rel.rows[a]
-            for b in range(n):
-                if a != b and not row >> b & 1:
-                    nxt = _grow(algebra, rel, ((a, b),))
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        queue.append(nxt)
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    return _join_closure(BinRel.diagonal(n), pairs, lambda r, pair: _grow(algebra, r, (pair,)))
 
 
 @dataclass(frozen=True)
@@ -352,43 +337,50 @@ def verify_weak_representation(algebra: Algebra, theta: BinRel, witness: WeakRep
     return BinRel(n, meet_rows) == theta
 
 
-def _join_closure(algebra: Algebra, principals, join, limit: int, what: str) -> list[BinRel]:
-    """The lattice generated by the principal relations, sorted by pair count then rows.
+def _join_closure(bottom: BinRel, pairs, join) -> Iterator[BinRel]:
+    """The lattice generated by the principal members, breadth-first from bottom.
 
-    Every member is the join of the principals on its pairs, so joining
-    each new item with the principals alone (skipping those already inside
-    it) reaches the whole lattice in O(items × principals) joins.  Raises
-    BudgetExceeded once the lattice has more than limit members.
+    join(rel, pair) is the least member holding rel and pair, so the
+    principal member of a pair is join(bottom, pair).  Yields bottom, then
+    each distinct principal in pair order, then each new join of an earlier
+    item with a principal's first pair, as soon as it is found.  Every
+    member is the join of the principals inside it, so joining each item
+    with the principals whose pair it lacks reaches the whole lattice.  A
+    pair whose principal repeats an earlier one is absent from an item
+    exactly when the earlier pair is, so skipping it changes nothing.
     """
-    seen = set()
-    items = []
-
-    def add(rel):
-        if rel not in seen:
-            seen.add(rel)
-            items.append(rel)
-            if len(items) > limit:
-                raise BudgetExceeded(f"{what} count passed the budget of {limit}")
-
-    add(closure(algebra, (), "reflexive-symmetric"))
-    for p in principals:
-        add(p)
-    principals = items[1:]  # deduplicated
+    principals = {}
+    for pair in pairs:
+        principals.setdefault(join(bottom, pair), pair)
+    items = [bottom, *principals]
+    seen = set(items)
+    yield from items
     for item in islice(items, 1, None):  # also visits the items added below
-        for p in principals:
-            if not subset(p, item):
-                add(join(item, p))
+        rows = item.rows
+        for pair in principals.values():
+            if not rows[pair[0]] >> pair[1] & 1:
+                rel = join(item, pair)
+                if rel not in seen:
+                    seen.add(rel)
+                    items.append(rel)
+                    yield rel
+
+
+def _lattice(members: Iterator[BinRel], limit: int, what: str) -> list[BinRel]:
+    """All members sorted by pair count then rows; BudgetExceeded past limit."""
+    items = list(islice(members, max(limit + 1, 0)))
+    if len(items) > limit:
+        raise BudgetExceeded(f"{what} count passed the budget of {limit}")
     return sorted(items, key=lambda r: (r.pair_count(), r.rows))
 
 
 def enumerate_tolerances(algebra: Algebra, limit: int = DEFAULT_REL_BUDGET) -> list[BinRel]:
-    """All tolerances: _join_closure of the principal tolerances."""
+    """All tolerances: _join_closure over the pairs a < b, joins closed symmetrically."""
     n = algebra.n
-    principals = (closure(algebra, ((a, b),), "reflexive-symmetric")
-                  for a in range(n) for b in range(a + 1, n))
-    return _join_closure(algebra, principals,
-                         lambda r, p: _grow(algebra, r, p.pairs(), symmetric=True),
-                         limit, "tolerance")
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    members = _join_closure(BinRel.diagonal(n), pairs,
+                            lambda r, pair: _grow(algebra, r, (pair,), symmetric=True))
+    return _lattice(members, limit, "tolerance")
 
 
 def _transitive_close(rel: BinRel) -> BinRel:
@@ -416,15 +408,16 @@ def _congruence_close(algebra: Algebra, rel: BinRel) -> BinRel:
 
 
 def enumerate_congruences(algebra: Algebra, limit: int = DEFAULT_REL_BUDGET) -> list[BinRel]:
-    """All congruences: _join_closure of the principal congruences."""
+    """All congruences: _join_closure over the pairs a < b with principals Cg(a, b)."""
     # The transitive closure of the union of two congruences is their join,
     # and it is already compatible: it is the union of the chain (α∘β)^k,
     # and composites of compatible reflexive relations are compatible.
     n = algebra.n
-    principals = (_congruence_close(algebra, closure(algebra, ((a, b),), "reflexive-symmetric"))
-                  for a in range(n) for b in range(a + 1, n))
-    return _join_closure(algebra, principals, lambda r, p: _transitive_close(union(r, p)),
-                         limit, "congruence")
+    cg = {(a, b): _congruence_close(algebra, closure(algebra, ((a, b),), "reflexive-symmetric"))
+          for a in range(n) for b in range(a + 1, n)}
+    members = _join_closure(BinRel.diagonal(n), cg,
+                            lambda r, pair: _transitive_close(union(r, cg[pair])))
+    return _lattice(members, limit, "congruence")
 
 
 def tolerance_join(algebra: Algebra, alpha: BinRel, beta: BinRel) -> BinRel:

@@ -29,6 +29,7 @@ __all__ = [
     "Compose",
     "Intersect",
     "RelTerm",
+    "MAX_TERM_DEPTH",
     "TermGraph",
     "parse_term",
     "term_to_text",
@@ -58,6 +59,9 @@ class Intersect:
 
 
 RelTerm = Union[Var, Compose, Intersect]
+
+# Deepest operator nesting parse_term accepts.
+MAX_TERM_DEPTH = 200
 
 _NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _NAME_CONT = _NAME_START | set("0123456789")
@@ -95,51 +99,55 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+def _join(cls, pending, right):
+    """cls(left, right) for pending = ((left, depth), offset), with its depth."""
+    (left, left_depth), at = pending
+    depth = max(left_depth, right[1]) + 1
+    if depth > MAX_TERM_DEPTH:
+        raise TermSyntaxError(at, f"term nests more than {MAX_TERM_DEPTH} operators deep")
+    return cls(left, right[0]), depth
+
+
 def parse_term(text: str) -> RelTerm:
-    """Parse a term; raises TermSyntaxError with the offending offset."""
-    tokens = _tokenize(text)
-    pos = 0
+    """Parse a term; raises TermSyntaxError with the offending offset.
 
-    def peek():
-        return tokens[pos]
-
-    def atom():
-        nonlocal pos
-        kind, value, at = peek()
-        if kind == "name":
-            pos += 1
-            return Var(value)
+    Open parentheses go on an explicit stack, so they may nest to any depth;
+    operators may nest at most MAX_TERM_DEPTH deep, which keeps the
+    recursive functions below inside Python's recursion limit.
+    """
+    tokens = iter(_tokenize(text))
+    groups = []  # (conjunct, factor) of each enclosing '('
+    # left operands waiting for their '&' and 'o', each as ((node, depth), offset)
+    conjunct = factor = None
+    while True:
+        kind, value, at = next(tokens)
         if kind == "lparen":
-            pos += 1
-            inner = term()
-            kind, _, at = peek()
+            groups.append((conjunct, factor))
+            conjunct = factor = None
+            continue
+        if kind != "name":
+            raise TermSyntaxError(at, "expected a variable or '('")
+        node = (Var(value), 0)
+        while True:  # node is a complete atom
+            if factor is not None:
+                node = _join(Compose, factor, node)
+            kind, value, at = next(tokens)
+            if kind == "compose":
+                factor = (node, at)
+                break
+            factor = None
+            if conjunct is not None:
+                node = _join(Intersect, conjunct, node)
+            if kind == "intersect":
+                conjunct = (node, at)
+                break
+            if not groups:
+                if kind != "end":
+                    raise TermSyntaxError(at, f"unexpected {value!r} after the term")
+                return node[0]
             if kind != "rparen":
                 raise TermSyntaxError(at, "expected ')'")
-            pos += 1
-            return inner
-        raise TermSyntaxError(at, "expected a variable or '('")
-
-    def factor():
-        nonlocal pos
-        node = atom()
-        while peek()[0] == "compose":
-            pos += 1
-            node = Compose(node, atom())
-        return node
-
-    def term():
-        nonlocal pos
-        node = factor()
-        while peek()[0] == "intersect":
-            pos += 1
-            node = Intersect(node, factor())
-        return node
-
-    node = term()
-    kind, value, at = peek()
-    if kind != "end":
-        raise TermSyntaxError(at, f"unexpected {value!r} after the term")
-    return node
+            conjunct, factor = groups.pop()
 
 
 def term_to_text(term: RelTerm) -> str:

@@ -1,10 +1,12 @@
 """Shared hypothesis strategies and small oracles for the test suite."""
 
+from collections import deque
+
 from hypothesis import strategies as st
 
 from tolrep import Algebra, BinRel, BudgetExceeded, OperationTable, closure, compose, converse, subset
 from tolrep.algebras import _grow
-from tolrep.decide import WeakRepWitness, _congruence_close, iter_admissible
+from tolrep.decide import WeakRepWitness, _congruence_close
 from tolrep.terms import Compose, Intersect, Var
 
 
@@ -85,16 +87,43 @@ def eval_oracle(term, env_sets: dict) -> set:
     return left & right
 
 
+def admissible_bfs_oracle(algebra: Algebra):
+    """All reflexive compatible relations, breadth-first from the diagonal.
+
+    Pops each relation from a queue and re-closes it plus each absent
+    off-diagonal pair in row-major order, queueing every closure not seen
+    before.  Every admissible relation is reached because any target stays
+    a superset along the way.  Independent of the join-closure enumerator;
+    n² closures per relation, so only usable on small algebras.
+    """
+    start = closure(algebra, (), "reflexive")
+    seen = {start}
+    queue = deque([start])
+    n = algebra.n
+    while queue:
+        rel = queue.popleft()
+        yield rel
+        for a in range(n):
+            row = rel.rows[a]
+            for b in range(n):
+                if a != b and not row >> b & 1:
+                    nxt = _grow(algebra, rel, ((a, b),))
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        queue.append(nxt)
+
+
 def weak_representation_oracle(algebra: Algebra, theta: BinRel):
     """Weak representability by listing every admissible relation first.
 
     Keeps, for each ordered pair outside theta, the first admissible R in
-    enumeration order whose composite R∘R⁻ contains theta but not the pair.
-    Independent of the covering search; only usable on small algebras.
+    admissible_bfs_oracle order whose composite R∘R⁻ contains theta but
+    not the pair.  Independent of the covering search and of the join
+    enumerator; only usable on small algebras.
     """
     n = algebra.n
     usable = []
-    for rel in iter_admissible(algebra):
+    for rel in admissible_bfs_oracle(algebra):
         composite = compose(rel, converse(rel))
         if subset(theta, composite):
             usable.append((rel, composite))

@@ -233,12 +233,27 @@ class TestEnumerateCommand:
         path = corpus_file(tmp_path, "five_set")
         assert run(["enumerate", path, "--kind", "tolerances", "--limit", "3"]) == 3
 
+    def test_limit_zero(self, tmp_path, capsys):
+        # a zero limit is a budget for a lattice but not a listing length
+        path = corpus_file(tmp_path, "five_set")
+        assert run(["enumerate", path, "--kind", "tolerances", "--limit", "0"]) == 3
+        assert run(["enumerate", path, "--kind", "admissible", "--limit", "0"]) == 2
+        assert "limit must be positive" in capsys.readouterr().err
+
+    def test_takes_no_budget_flags(self, tmp_path, capsys):
+        path = corpus_file(tmp_path, "five_set")
+        assert run(["enumerate", path, "--kind", "tolerances", "--rel-budget", "3"]) == 2
+
 
 class TestPermutableCommand:
     def test_lattice_with_two_congruences(self, tmp_path, capsys):
         path = corpus_file(tmp_path, "m3")
         assert run(["permutable", path]) == 0
         assert "congruences permute" in capsys.readouterr().out
+
+    def test_budget_exit_code(self, tmp_path, capsys):
+        path = corpus_file(tmp_path, "m3")
+        assert run(["permutable", path, "--rel-budget", "1"]) == 3
 
     def test_bare_universe_counterexample(self, tmp_path, capsys):
         path = write(tmp_path, "algebra bare\nsize 3\n")
@@ -282,6 +297,15 @@ class TestTermCommands:
 
     def test_syntax_error(self, capsys):
         assert run(["term-regular", "--term", "x &"]) == 2
+        assert "position" in capsys.readouterr().err
+
+    def test_deeply_parenthesized_variable(self, capsys):
+        assert run(["term-regular", "--term", "(" * 400 + "x" + ")" * 400]) == 0
+        assert capsys.readouterr().out.strip() == "regular"
+
+    def test_deeply_nested_operators(self, capsys):
+        term = "x o (" * 400 + "x" + ")" * 400
+        assert run(["term-regular", "--term", term]) == 2
         assert "position" in capsys.readouterr().err
 
 

@@ -1,10 +1,11 @@
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    admissible_bfs_oracle,
     algebra_with_rel,
     algebras,
     binrels_on,
@@ -37,6 +38,7 @@ from tolrep import (
     verify_representation,
     verify_weak_representation,
 )
+from tolrep.decide import iter_admissible
 
 
 def all_reflexive_symmetric(n):
@@ -221,6 +223,24 @@ class TestAdmissibleEnumeration:
         assert len(got.relations) == 257
         others = [r for r in got.relations if r != BinRel.diagonal(5)]
         assert all(subset(theta, r) for r in others)
+
+    @settings(max_examples=40)
+    @given(algebras(max_n=4, max_arity=3))
+    def test_matches_bfs_oracle(self, alg):
+        expected = list(admissible_bfs_oracle(alg))
+        assert list(iter_admissible(alg)) == expected
+        count = len(expected)
+        for limit in {1, count - 1, count, count + 1} - {0}:
+            got = enumerate_admissible(alg, limit)
+            assert got.relations == tuple(expected[:limit])
+            assert got.truncated == (count > limit)
+
+    @pytest.mark.parametrize("name, limit", [("s7_semilattice", 300), ("l7_majority", 30)])
+    def test_corpus_prefix_matches_bfs_oracle(self, name, limit):
+        alg = corpus_get(name).algebra
+        got = enumerate_admissible(alg, limit)
+        assert got.relations == tuple(islice(admissible_bfs_oracle(alg), limit))
+        assert got.truncated
 
 
 class TestWeakRepresentation:

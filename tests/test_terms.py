@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from helpers import binrels_on, eval_oracle, terms
 from tolrep import BinRel, DimensionError, TermSyntaxError, corpus_get
 from tolrep.terms import (
+    MAX_TERM_DEPTH,
     Compose,
     Intersect,
     Var,
@@ -61,6 +62,27 @@ class TestParsing:
             parse_term("(x o y")
         with pytest.raises(TermSyntaxError):
             parse_term("x o y)")
+
+    def test_deep_parentheses(self):
+        assert parse_term("(" * 2000 + "x" + ")" * 2000) == Var("x")
+        with pytest.raises(TermSyntaxError):
+            parse_term("(" * 2000 + "x" + ")" * 1999)
+
+    def test_depth_limit(self):
+        # right-nested and left-chained operators count alike
+        d = MAX_TERM_DEPTH
+        nested = parse_term("x o (" * d + "y" + ")" * d)
+        chained = parse_term("x" + " & y" * d)
+        for term in (nested, chained):
+            assert parse_term(term_to_text(term)) == term
+            assert term_variables(term) == {"x", "y"}
+            assert not is_regular(term)
+        with pytest.raises(TermSyntaxError) as exc:
+            parse_term("x o (" * (d + 1) + "y" + ")" * (d + 1))
+        assert exc.value.position == 2
+        with pytest.raises(TermSyntaxError) as exc:
+            parse_term("x" + " & y" * (d + 1))
+        assert exc.value.position == 4 * d + 2
 
     def test_empty(self):
         with pytest.raises(TermSyntaxError):
