@@ -4,17 +4,26 @@ An operation of arity k on a universe of size n is a tuple of n**k result
 values in row-major argument order: the first argument is the most
 significant digit of the index.  Compatibility and closure both work on
 "pair codes": the ordered pair (a, b) becomes the single integer a*n + b,
-and every operation acts componentwise on codes through a table computed
-once per algebra.  A relation is compatible exactly when its code set is
-closed under those componentwise tables.
+and every operation acts componentwise on codes.  A relation is compatible
+exactly when its code set is closed under those componentwise operations.
+
+The componentwise tables are built once per algebra into a kernel plan:
+for each code, the distinct images under all unary operations merged;
+for each binary operation, the row and the column of images of each code;
+and the flat tables of the operations of arity 3 or more.  The closure
+kernel is semi-naive (as in Datalog fixpoint evaluation): its code list is
+a FIFO worklist, and code i meets only codes[:i + 1], so each argument
+tuple is built once its last-added component is reached.  A whole row of
+images is picked and tested against the code set in one step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
-from itertools import product
-from typing import Iterable
+from functools import lru_cache
+from itertools import islice, product
+from operator import itemgetter, mul
+from typing import Iterable, NamedTuple
 
 from .errors import DimensionError
 from .relations import BinRel, classify_shape
@@ -61,6 +70,7 @@ class Algebra:
     n: int
     ops: tuple[OperationTable, ...] = ()
     _by_name: dict = field(default=None, init=False, repr=False, compare=False)
+    _hash: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "ops", tuple(self.ops))
@@ -80,6 +90,16 @@ class Algebra:
                     raise ValueError(f"operation {op.name!r} has value {v} outside the universe")
             by_name[op.name] = op
         object.__setattr__(self, "_by_name", by_name)
+        # Hashing every table on each kernel-plan lookup would dominate small closures.
+        object.__setattr__(self, "_hash", hash((self.n, self.ops)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild on unpickling: the cached hash covers string hashes,
+        # which differ between processes.
+        return Algebra, (self.n, self.ops)
 
     def op(self, name: str) -> OperationTable:
         try:
@@ -103,79 +123,117 @@ def eval_op(algebra: Algebra, op: str, args: Iterable[int]) -> int:
     return table.table[idx]
 
 
+class _Plan(NamedTuple):
+    """The operations of the square algebra, laid out for the closure kernel.
+
+    unary[c] lists the distinct images of code c under all unary
+    operations at once (unary is empty when there are none); binary holds
+    (rows, cols) per binary operation, where rows[c][d] and cols[c][d] are
+    the images of the argument tuples (c, d) and (d, c); higher holds
+    (arity, flat table) for every operation of arity 3 or more.
+    """
+
+    unary: tuple[tuple[int, ...], ...]
+    binary: tuple[tuple[tuple, tuple], ...]
+    higher: tuple[tuple[int, tuple[int, ...]], ...]
+
+
 @lru_cache(maxsize=None)
-def _square_tables(algebra: Algebra) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """Componentwise tables on pair codes (the operations of the square algebra)."""
+def _square_tables(algebra: Algebra) -> _Plan:
+    """The kernel plan: componentwise tables on pair codes, grouped by arity."""
     n = algebra.n
     m = n * n
     decomp = [divmod(c, n) for c in range(m)]
-    out = []
+    unary = [{} for _ in range(m)]
+    binary = []
+    higher = []
     for op in algebra.ops:
         tab = op.table
         prefixes = [(0, 0)]
         for _ in range(op.arity):
             prefixes = [(ia * n + a, ib * n + b) for ia, ib in prefixes for a, b in decomp]
-        out.append((op.arity, tuple(tab[ia] * n + tab[ib] for ia, ib in prefixes)))
-    return tuple(out)
+        sq = tuple(tab[ia] * n + tab[ib] for ia, ib in prefixes)
+        if op.arity == 1:
+            for c, v in enumerate(sq):
+                unary[c][v] = None
+        elif op.arity == 2:
+            rows = tuple(sq[c * m:(c + 1) * m] for c in range(m))
+            binary.append((rows, tuple(sq[c::m] for c in range(m))))
+        else:
+            higher.append((op.arity, sq))
+    has_unary = any(op.arity == 1 for op in algebra.ops)
+    return _Plan(tuple(tuple(images) for images in unary) if has_unary else (),
+                 tuple(binary), tuple(higher))
 
 
-def _mark(member, codes, queue, code, symmetric, n):
-    if member[code]:
-        return
-    member[code] = 1
-    codes.append(code)
-    queue.append(code)
-    if symmetric:
-        swapped = (code % n) * n + code // n
-        if not member[swapped]:
-            member[swapped] = 1
-            codes.append(swapped)
-            queue.append(swapped)
+def _saturate(algebra, member, codes, start):
+    """Close the code list under the operations, semi-naively.
 
-
-def _saturate(algebra, member, codes, queue, symmetric):
-    """Drain the worklist: combine each new code with everything present.
-
-    Every tuple over the final code set contains a last-added component,
-    so pairing each newly added code against the whole current list in
-    every argument position reaches the least fixpoint.
+    codes is its own FIFO worklist and codes[:start] is already closed.
+    Code i is combined only with codes[:i + 1], in every argument
+    position, so an argument tuple is built only once its last-added
+    component is reached, and no tuple inside the closed prefix is built.
+    member is the set of codes present; a whole row of images is tested
+    against it at once, and new images are appended after each code.
+    Images of swapped tuples are the swapped images, so a symmetric start
+    closes to a symmetric list.
     """
-    n = algebra.n
-    m = n * n
-    tables = _square_tables(algebra)
-    while queue:
-        c = queue.pop()
-        for arity, sq in tables:
-            if arity == 1:
-                _mark(member, codes, queue, sq[c], symmetric, n)
-            elif arity == 2:
-                for d in codes:
-                    _mark(member, codes, queue, sq[c * m + d], symmetric, n)
-                    _mark(member, codes, queue, sq[d * m + c], symmetric, n)
-            elif arity == 3:
-                for d in codes:
-                    dm = d * m
-                    cm = c * m
-                    for e in codes:
-                        _mark(member, codes, queue, sq[(cm + d) * m + e], symmetric, n)
-                        _mark(member, codes, queue, sq[(dm + c) * m + e], symmetric, n)
-                        _mark(member, codes, queue, sq[(dm + e) * m + c], symmetric, n)
-            else:
-                for pos in range(arity):
-                    for rest in product(list(codes), repeat=arity - 1):
-                        idx = 0
-                        for j in range(arity):
-                            comp = c if j == pos else rest[j if j < pos else j - 1]
-                            idx = idx * m + comp
-                        _mark(member, codes, queue, sq[idx], symmetric, n)
+    m = algebra.n ** 2
+    unary, binary, higher = _square_tables(algebra)
+    covered = member.issuperset
+    i = start
+    while i < len(codes):
+        c = codes[i]
+        found = []
+        if unary and not covered(unary[c]):
+            found += unary[c]
+        if binary or higher:
+            upto = codes[:i + 1]
+            pick = _picker(upto)
+            for rows, cols in binary:
+                for images in (pick(rows[c]), pick(cols[c])):
+                    if not covered(images):
+                        found += images
+            for arity, sq in higher:
+                found += _combine(sq, arity, m, c, upto, pick, covered)
+        for v in found:
+            if v not in member:
+                member.add(v)
+                codes.append(v)
+        i += 1
 
 
-def _rows_from_member(member, n) -> BinRel:
-    rows = [0] * n
-    for code in range(n * n):
-        if member[code]:
-            rows[code // n] |= 1 << (code % n)
-    return BinRel(n, rows)
+def _picker(idx):
+    """A function taking a sequence to the tuple of its items at idx."""
+    if not idx:
+        return lambda seq: ()
+    if len(idx) == 1:
+        j = idx[0]
+        return lambda seq: (seq[j],)
+    return itemgetter(*idx)
+
+
+def _combine(sq, arity, m, c, upto, pick, covered):
+    """Images of the tuples over upto with c at some position p.
+
+    Rows whose images are all present are dropped; the rest are returned
+    whole.  The last position q other than p is read as one strided slice
+    of the flat table, picked at upto.
+    """
+    out = []
+    for p in range(arity):
+        q = arity - 1 if p < arity - 1 else arity - 2
+        bases = [0]
+        for j in range(arity):
+            if j != q:
+                weight = m ** (arity - 1 - j)
+                bases = [b + x * weight for b in bases for x in ((c,) if j == p else upto)]
+        stride = m ** (arity - 1 - q)
+        for base in bases:
+            images = pick(sq[base:base + stride * m:stride])
+            if not covered(images):
+                out += images
+    return out
 
 
 def closure(algebra: Algebra, seed: Iterable[tuple[int, int]], mode: str) -> BinRel:
@@ -190,80 +248,100 @@ def closure(algebra: Algebra, seed: Iterable[tuple[int, int]], mode: str) -> Bin
         raise ValueError(f"mode must be one of {CLOSURE_MODES}, got {mode!r}")
     symmetric = mode == "reflexive-symmetric"
     n = algebra.n
-    member = bytearray(n * n)
-    codes: list[int] = []
-    queue: list[int] = []
-    for v in range(n):
-        _mark(member, codes, queue, v * n + v, symmetric, n)
+    seed = list(seed)
     for a, b in seed:
         if not (0 <= a < n and 0 <= b < n):
             raise ValueError(f"seed pair ({a}, {b}) out of range for universe of size {n}")
-        _mark(member, codes, queue, a * n + b, symmetric, n)
-    _saturate(algebra, member, codes, queue, symmetric)
-    return _rows_from_member(member, n)
+    # The diagonal is closed: operations map diagonal tuples to the diagonal.
+    codes = [v * n + v for v in range(n)]
+    member = set(codes)
+    _add_pairs(member, codes, seed, symmetric, n)
+    _saturate(algebra, member, codes, n)
+    return _or_codes(BinRel.diagonal(n), islice(codes, n, None))
+
+
+def _add_pairs(member, codes, pairs, symmetric, n):
+    for a, b in pairs:
+        for code in (a * n + b, b * n + a) if symmetric else (a * n + b,):
+            if code not in member:
+                member.add(code)
+                codes.append(code)
+
+
+@lru_cache(maxsize=1)
+def _codes(rel: BinRel) -> tuple[int, ...]:
+    """The pair codes of rel, row-major.
+
+    Callers grow one relation by many different pairs in a row (each
+    listing item by every principal, each search node by every candidate),
+    so the last relation's codes are kept.
+    """
+    n = rel.n
+    codes = []
+    for a, row in enumerate(rel.rows):
+        base = a * n
+        while row:
+            low = row & -row
+            codes.append(base + low.bit_length() - 1)
+            row ^= low
+    return tuple(codes)
+
+
+def _or_codes(rel: BinRel, codes: Iterable[int]) -> BinRel:
+    n = rel.n
+    rows = list(rel.rows)
+    for code in codes:
+        rows[code // n] |= 1 << (code % n)
+    return BinRel(n, rows)
 
 
 def _grow(algebra: Algebra, rel: BinRel, extra: Iterable[tuple[int, int]], symmetric=False) -> BinRel:
-    """Closure of rel plus extra pairs, assuming rel itself is already closed."""
+    """Closure of rel plus extra pairs, assuming rel itself is already closed.
+
+    Returns rel itself when extra adds nothing; otherwise only the new
+    codes are ORed into a copy of its rows.
+    """
     n = algebra.n
-    member = bytearray(n * n)
-    codes: list[int] = []
-    for a, row in enumerate(rel.rows):
-        base = a * n
-        m = row
-        while m:
-            low = m & -m
-            code = base + low.bit_length() - 1
-            member[code] = 1
-            codes.append(code)
-            m ^= low
-    queue: list[int] = []
-    for a, b in extra:
-        _mark(member, codes, queue, a * n + b, symmetric, n)
-    _saturate(algebra, member, codes, queue, symmetric)
-    return _rows_from_member(member, n)
+    codes = list(_codes(rel))
+    member = set(codes)
+    start = len(codes)
+    _add_pairs(member, codes, extra, symmetric, n)
+    if len(codes) == start:
+        return rel
+    _saturate(algebra, member, codes, start)
+    return _or_codes(rel, islice(codes, start, None))
 
 
 def is_compatible(algebra: Algebra, rel: BinRel) -> bool:
     """Do the operations preserve the relation componentwise?
 
-    Checks every tuple of related argument pairs directly, which costs
-    |rel| ** arity table lookups per operation (fine through arity 3 at
-    this package's universe sizes; steep beyond that).
+    Checks every tuple of related argument pairs directly, a row of
+    images at a time through the kernel plan, and stops at the first row
+    that leaves the relation.  That costs |rel| ** arity table lookups per
+    operation, fine through arity 3 at this package's universe sizes and
+    steep beyond.
     """
     if rel.n != algebra.n:
         raise DimensionError(f"relation lives on {rel.n} elements, algebra on {algebra.n}")
-    n = algebra.n
-    m = n * n
-    member = bytearray(m)
-    codes = []
-    for a, b in rel.pairs():
-        code = a * n + b
-        member[code] = 1
-        codes.append(code)
-    for arity, sq in _square_tables(algebra):
-        if arity == 1:
-            for c in codes:
-                if not member[sq[c]]:
-                    return False
-        elif arity == 2:
-            for c in codes:
-                base = c * m
-                for d in codes:
-                    if not member[sq[base + d]]:
-                        return False
-        elif arity == 3:
-            for c in codes:
-                cm = c * m
-                for d in codes:
-                    base = (cm + d) * m
-                    for e in codes:
-                        if not member[sq[base + e]]:
-                            return False
+    m = algebra.n ** 2
+    codes = _codes(rel)
+    member = set(codes)
+    covered = member.issuperset
+    pick = _picker(codes)
+    unary, binary, higher = _square_tables(algebra)
+    if unary and not all(covered(unary[c]) for c in codes):
+        return False
+    for rows, _cols in binary:
+        if not all(covered(pick(rows[c])) for c in codes):
+            return False
+    for arity, sq in higher:
+        if arity == 3:
+            bases = ((c * m + d) * m for c in codes for d in codes)
         else:
-            for tup in product(codes, repeat=arity):
-                if not member[sq[reduce(lambda acc, x: acc * m + x, tup, 0)]]:
-                    return False
+            weights = [m ** k for k in range(arity - 1, 0, -1)]
+            bases = (sum(map(mul, prefix, weights)) for prefix in product(codes, repeat=arity - 1))
+        if not all(covered(pick(sq[base:base + m])) for base in bases):
+            return False
     return True
 
 

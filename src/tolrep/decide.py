@@ -117,7 +117,8 @@ def _cover_search(algebra: Algebra, cover: BinRel, allowed: BinRel, spend) -> Op
             return None
         return child
 
-    def explore(rel):
+    def branch(rel):
+        """The uncovered pair of rel with the fewest candidates, or None."""
         rows = rel.rows
         pick = None
         pick_count = 0
@@ -128,19 +129,29 @@ def _cover_search(algebra: Algebra, cover: BinRel, allowed: BinRel, spend) -> Op
             if pick is None or k < pick_count:
                 pick = (a, b)
                 pick_count = k
-        if pick is None:
-            return rel
-        a, b = pick
-        for c in _bits(candidates[pick]):
+        return pick
+
+    # Depth-first, with one frame (relation, pair, remaining candidates)
+    # per level: the depth is bounded only by the number of cover pairs.
+    root = closure(algebra, (), "reflexive")
+    pick = branch(root)
+    if pick is None:
+        return root
+    stack = [(root, *pick, _bits(candidates[pick]))]
+    while stack:
+        rel, a, b, rest = stack[-1]
+        for c in rest:
             spend()
             child = extend(rel, a, c, b)
             if child is not None:
-                found = explore(child)
-                if found is not None:
-                    return found
-        return None
-
-    return explore(closure(algebra, (), "reflexive"))
+                pick = branch(child)
+                if pick is None:
+                    return child
+                stack.append((child, *pick, _bits(candidates[pick])))
+                break
+        else:
+            stack.pop()
+    return None
 
 
 def find_representation(

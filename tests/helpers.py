@@ -1,9 +1,14 @@
 """Shared hypothesis strategies and small oracles for the test suite."""
 
+import os
+import subprocess
+import sys
 from collections import deque
+from itertools import product
 
 from hypothesis import strategies as st
 
+import tolrep
 from tolrep import Algebra, BinRel, BudgetExceeded, OperationTable, closure, compose, converse, subset
 from tolrep.algebras import _grow
 from tolrep.decide import WeakRepWitness, _congruence_close
@@ -54,6 +59,26 @@ def algebras(draw, max_n: int = 4, max_ops: int = 2, max_arity: int = 2):
 
 
 @st.composite
+def near_projection_algebras(draw, max_n: int = 4, max_ops: int = 2, max_arity: int = 4):
+    """Operations that are projections except on a few argument tuples.
+
+    Uniform random tables close almost every relation to the full one;
+    these keep closures small, so a kernel that skips an argument position
+    gives a different closure.
+    """
+    n = draw(st.integers(2, max_n))
+    ops = []
+    for i in range(draw(st.integers(1, max_ops))):
+        arity = draw(st.integers(1, max_arity))
+        keep = draw(st.integers(0, arity - 1))
+        table = [args[keep] for args in product(range(n), repeat=arity)]
+        for _ in range(draw(st.integers(1, 4))):
+            table[draw(st.integers(0, len(table) - 1))] = draw(st.integers(0, n - 1))
+        ops.append(OperationTable(f"f{i}", arity, tuple(table)))
+    return Algebra(n, tuple(ops))
+
+
+@st.composite
 def algebra_with_rel(draw, max_n: int = 4, **rel_kwargs):
     alg = draw(algebras(max_n=max_n))
     rel = draw(binrels_on(alg.n, **rel_kwargs))
@@ -67,6 +92,53 @@ terms = st.recursive(
     lambda inner: st.builds(Compose, inner, inner) | st.builds(Intersect, inner, inner),
     max_leaves=6,
 )
+
+
+def _image(algebra: Algebra, op: OperationTable, args) -> tuple[int, int]:
+    """op applied componentwise to a tuple of pairs."""
+    n = algebra.n
+    left = right = 0
+    for a, b in args:
+        left = left * n + a
+        right = right * n + b
+    return op.table[left], op.table[right]
+
+
+def closure_oracle(algebra: Algebra, seed, symmetric: bool) -> BinRel:
+    """The closure by its definition: a naive fixpoint over a pair set.
+
+    Starts from the diagonal and the seed (and their converses when
+    symmetric), then applies every operation to every tuple of present
+    pairs, round after round, until a round adds nothing.  Shares nothing
+    with the kernel plan or its semi-naive order; only usable on small
+    algebras.
+    """
+    n = algebra.n
+    pairs = {(a, a) for a in range(n)} | set(seed)
+    while True:
+        if symmetric:
+            pairs |= {(b, a) for a, b in pairs}
+        new = {_image(algebra, op, args)
+               for op in algebra.ops for args in product(pairs, repeat=op.arity)}
+        if new <= pairs:
+            return BinRel.from_pairs(n, pairs)
+        pairs |= new
+
+
+def compatible_oracle(algebra: Algebra, rel: BinRel) -> bool:
+    """Compatibility by its definition: every tuple of pairs maps into rel."""
+    pairs = set(rel.pairs())
+    return all(_image(algebra, op, args) in pairs
+               for op in algebra.ops for args in product(pairs, repeat=op.arity))
+
+
+def run_python(*args):
+    """Run a fresh interpreter with args on this checkout's package."""
+    src = os.path.dirname(os.path.dirname(tolrep.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 def compose_oracle(r: BinRel, s: BinRel) -> set:

@@ -1,8 +1,18 @@
+import pickle
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import algebra_with_rel, algebras, binrels_on
+from helpers import (
+    algebra_with_rel,
+    algebras,
+    binrels_on,
+    closure_oracle,
+    compatible_oracle,
+    near_projection_algebras,
+)
 from tolrep import (
     Algebra,
     BinRel,
@@ -16,6 +26,7 @@ from tolrep import (
     is_compatible,
     subset,
 )
+from tolrep.algebras import _grow, _square_tables
 
 
 def two_chain():
@@ -122,6 +133,68 @@ class TestClosure:
         assert classify_shape(got).symmetric
 
 
+@st.composite
+def expanded_algebras(draw):
+    """An algebra with many unary operations: the expansion by a tolerance."""
+    alg = draw(algebras(max_n=4, max_ops=1, max_arity=2))
+    seed = draw(binrels_on(alg.n, reflexive=True, symmetric=True))
+    return expand(alg, closure(alg, seed.pairs(), "reflexive-symmetric"))
+
+
+@st.composite
+def seed_and_extra(draw, alg):
+    seed = list(draw(binrels_on(alg.n)).pairs())
+    extra = list(draw(binrels_on(alg.n)).pairs())
+    return seed, extra
+
+
+MODES = (("reflexive", False), ("reflexive-symmetric", True))
+
+
+class TestKernelOracle:
+    """The semi-naive kernel against the naive pair-set fixpoint."""
+
+    def check(self, alg, seed, extra):
+        for mode, symmetric in MODES:
+            start = closure(alg, seed, mode)
+            assert start == closure_oracle(alg, seed, symmetric)
+            grown = _grow(alg, start, extra, symmetric=symmetric)
+            assert grown == closure_oracle(alg, seed + extra, symmetric)
+
+    @settings(max_examples=40)
+    @given(algebras(max_n=4, max_arity=4), st.data())
+    def test_closure_and_grow_up_to_arity_four(self, alg, data):
+        self.check(alg, *data.draw(seed_and_extra(alg)))
+
+    @settings(max_examples=60)
+    @given(near_projection_algebras(), st.data())
+    def test_closure_and_grow_on_near_projections(self, alg, data):
+        self.check(alg, *data.draw(seed_and_extra(alg)))
+
+    @settings(max_examples=30)
+    @given(expanded_algebras(), st.data())
+    def test_closure_and_grow_on_expansions(self, alg, data):
+        self.check(alg, *data.draw(seed_and_extra(alg)))
+
+    @pytest.mark.parametrize("arity", [1, 2, 3, 4])
+    def test_every_one_entry_change_of_a_projection(self, arity):
+        # On two points, a projection with one table entry changed needs
+        # the newest pair at each argument position in turn.
+        for keep in range(arity):
+            proj = [args[keep] for args in product(range(2), repeat=arity)]
+            for idx in range(len(proj)):
+                table = proj[:idx] + [1 - proj[idx]] + proj[idx + 1:]
+                alg = Algebra(2, (OperationTable("f", arity, tuple(table)),))
+                for pair in ((0, 1), (1, 0)):
+                    self.check(alg, [], [pair])
+
+    def test_grow_returns_rel_when_nothing_is_new(self):
+        alg = corpus_get("l7_majority").algebra
+        rel = closure(alg, [(0, 1)], "reflexive")
+        assert _grow(alg, rel, [(0, 1), (2, 2)]) is rel
+        assert _grow(alg, rel, []) is rel
+
+
 class TestCompatibility:
     def test_semilattice_counterexample(self):
         alg = corpus_get("s7_semilattice").algebra
@@ -143,6 +216,14 @@ class TestCompatibility:
         alg, rel = case
         assert is_compatible(alg, rel) == (closure(alg, rel.pairs(), "reflexive") == rel)
 
+    @settings(max_examples=60)
+    @given(algebras(max_n=4, max_arity=4) | near_projection_algebras(), st.data())
+    def test_matches_definition_up_to_arity_four(self, alg, data):
+        rel = data.draw(binrels_on(alg.n))
+        assert is_compatible(alg, rel) == compatible_oracle(alg, rel)
+        closed = closure(alg, rel.pairs(), "reflexive")
+        assert is_compatible(alg, closed) and compatible_oracle(alg, closed)
+
     def test_ternary_operation(self):
         table = tuple((x + y + z) % 3 for x in range(3) for y in range(3) for z in range(3))
         alg = Algebra(3, (OperationTable("f", 3, table),))
@@ -150,6 +231,34 @@ class TestCompatibility:
         # (0,1)+(0,1)+(0,1) = (0,0) mod 3, adding diagonal pairs stays inside
         assert not is_compatible(alg, shift)
         assert is_compatible(alg, BinRel.full(3))
+
+
+class TestKernelPlan:
+    def test_equal_algebras_share_one_plan(self):
+        def build():
+            table = tuple((3 * x + y) % 4 for x in range(4) for y in range(4))
+            return Algebra(4, (OperationTable("plan_share", 2, table),))
+
+        first, second = build(), build()
+        assert first is not second
+        assert first == second and hash(first) == hash(second)
+        before = _square_tables.cache_info()
+        assert _square_tables(first) is _square_tables(second)
+        after = _square_tables.cache_info()
+        assert after.currsize - before.currsize == 1
+        assert after.hits - before.hits == 1
+
+    def test_pickled_algebra_recomputes_its_hash(self):
+        alg = two_chain()
+        object.__setattr__(alg, "_hash", 12345)  # as if hashed in another process
+        loaded = pickle.loads(pickle.dumps(alg))
+        assert loaded == alg and hash(loaded) == hash(two_chain())
+
+    def test_unary_images_are_merged(self):
+        plus = expand(corpus_get("five_set").algebra, corpus_get("five_set").relations["theta"])
+        unary = _square_tables(plus).unary
+        assert len(unary) == 25
+        assert all(len(set(images)) == len(images) <= 25 for images in unary)
 
 
 class TestClassifyRelation:

@@ -1,12 +1,9 @@
 import json
-import os
-import subprocess
-import sys
 from importlib import resources
 
 import pytest
 
-import tolrep
+from helpers import run_python
 from tolrep import Document, DocumentError, corpus_get, parse_document, print_document
 from tolrep.cli import run
 
@@ -349,25 +346,16 @@ class TestArgumentErrors:
         assert run(["enumerate", path, "--kind", "everything"]) == 2
 
 
-def run_module(*args):
-    """Run `python -m ...` on this checkout's package in a fresh interpreter."""
-    src = os.path.dirname(os.path.dirname(tolrep.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, "-m", *args], env=env,
-                          capture_output=True, text=True, timeout=60)
-
-
 class TestModuleEntryPoints:
     def test_package_runs_cli(self, capsys):
         assert run(["corpus", "n5"]) == 0
         want = capsys.readouterr().out
-        proc = run_module("tolrep", "corpus", "n5")
+        proc = run_python("-m", "tolrep", "corpus", "n5")
         assert proc.returncode == 0
         assert proc.stdout == want
 
     def test_cli_module_runs_and_reports_errors(self, tmp_path):
         path = write(tmp_path, "algebra bad\nsize 2\nop c 0\n")
-        proc = run_module("tolrep.cli", "check", path)
+        proc = run_python("-m", "tolrep.cli", "check", path)
         assert proc.returncode == 2
         assert "line 3" in proc.stderr

@@ -1,3 +1,4 @@
+import textwrap
 from itertools import combinations, islice
 
 import pytest
@@ -10,6 +11,7 @@ from helpers import (
     algebras,
     binrels_on,
     join_closure_oracle,
+    run_python,
     weak_representation_oracle,
 )
 from tolrep import (
@@ -108,6 +110,26 @@ class TestFindRepresentation:
         if fast is not None:
             assert verify_representation(alg, theta, fast.rel)
             assert verify_representation(alg, theta, slow.rel)
+
+    def test_deep_search_needs_no_recursion(self):
+        # The star tolerance on 150 points needs one branching level per
+        # point; under a recursion limit of 100 the search must still
+        # finish and return a valid witness.
+        script = textwrap.dedent("""
+            import sys
+            sys.setrecursionlimit(100)
+            from tolrep import Algebra, BinRel, find_representation, verify_representation
+            n = 150
+            theta = BinRel.from_pairs(n, [(0, x) for x in range(1, n)],
+                                      reflexive=True, symmetric=True)
+            witness = find_representation(Algebra(n), theta)
+            assert witness is not None
+            assert verify_representation(Algebra(n), theta, witness.rel)
+            print("ok")
+        """)
+        proc = run_python("-c", script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "ok"
 
     def test_composite_grows_with_relation(self):
         # pruning on composites is sound because composition is monotone
