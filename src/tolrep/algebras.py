@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import islice, product
-from operator import itemgetter, mul
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from .errors import DimensionError
@@ -335,11 +335,9 @@ def is_compatible(algebra: Algebra, rel: BinRel) -> bool:
         if not all(covered(pick(rows[c])) for c in codes):
             return False
     for arity, sq in higher:
-        if arity == 3:
-            bases = ((c * m + d) * m for c in codes for d in codes)
-        else:
-            weights = [m ** k for k in range(arity - 1, 0, -1)]
-            bases = (sum(map(mul, prefix, weights)) for prefix in product(codes, repeat=arity - 1))
+        bases = [0]
+        for _ in range(arity - 1):
+            bases = [(b + c) * m for b in bases for c in codes]
         if not all(covered(pick(sq[base:base + m])) for base in bases):
             return False
     return True

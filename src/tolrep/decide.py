@@ -93,61 +93,50 @@ def _budget(limit: int, what: str):
 def _cover_search(algebra: Algebra, cover: BinRel, allowed: BinRel, spend) -> Optional[BinRel]:
     """A reflexive compatible R with cover inside R∘R⁻ and R∘R⁻ inside allowed.
 
-    The state is kept compatibility-closed, starting from the reflexive
-    closure.  A branch picks the uncovered off-diagonal cover pair (a, b)
-    with the fewest candidates c in allowed[a] & allowed[b] and tries each
-    by adding (a, c) and (b, c).  A child is pruned when it, or its R∘R⁻,
-    leaves allowed.  Any solution S satisfies S ⊆ S∘S⁻ ⊆ allowed and
-    contains some child of every state below it, so the pruning is sound
-    and exhausting the tree proves no R exists.  cover and allowed must be
-    symmetric.  spend() is called once per relation built.  Pairs and
-    candidates are explored in ascending index order, so the result is
-    canonical.
+    The root is the diagonal, which every operation preserves, and each
+    state is kept compatibility-closed.  The off-diagonal cover pairs
+    (a, b) are ordered once, fewest candidates c in allowed[a] & allowed[b]
+    first and ties by index; the candidates never change, so a branch
+    takes the first pair of that order the state leaves uncovered and
+    tries each c by adding (a, c) and (b, c).  A child is kept exactly when
+    its R∘R⁻ stays inside allowed, which keeps the child inside allowed
+    too, since S ⊆ S∘S⁻ for a reflexive S.  Any solution S has S∘S⁻ inside
+    allowed and contains some child of every state below it, so the
+    pruning is sound and exhausting the tree proves no R exists.  cover
+    and allowed must be symmetric.  spend() is called once per relation
+    built.  Candidates are tried in ascending index order, so the result
+    is canonical.
     """
     n = algebra.n
     arows = allowed.rows
-    pairs = [(a, b) for a in range(n) for b in range(a + 1, n) if cover.rows[a] >> b & 1]
-    candidates = {(a, b): arows[a] & arows[b] for a, b in pairs}
+    order = sorted(((a, b, arows[a] & arows[b]) for a in range(n) for b in range(a + 1, n)
+                    if cover.rows[a] >> b & 1), key=lambda entry: entry[2].bit_count())
 
-    def extend(rel, a, c, b):
-        child = _grow(algebra, rel, ((a, c), (b, c)))
-        if not subset(child, allowed):
-            return None
-        if not subset(compose(child, converse(child)), allowed):
-            return None
-        return child
-
-    def branch(rel):
-        """The uncovered pair of rel with the fewest candidates, or None."""
+    def frame(rel):
+        """(rel, a, b, candidates) for the first pair rel leaves uncovered, or None."""
         rows = rel.rows
-        pick = None
-        pick_count = 0
-        for a, b in pairs:
-            if rows[a] & rows[b]:
-                continue
-            k = candidates[(a, b)].bit_count()
-            if pick is None or k < pick_count:
-                pick = (a, b)
-                pick_count = k
-        return pick
+        for a, b, cands in order:
+            if not rows[a] & rows[b]:
+                return rel, a, b, _bits(cands)
+        return None
 
-    # Depth-first, with one frame (relation, pair, remaining candidates)
-    # per level: the depth is bounded only by the number of cover pairs.
-    root = closure(algebra, (), "reflexive")
-    pick = branch(root)
-    if pick is None:
+    # Depth-first, with one frame per level: the depth is bounded only by
+    # the number of cover pairs.
+    root = BinRel.diagonal(n)
+    top = frame(root)
+    if top is None:
         return root
-    stack = [(root, *pick, _bits(candidates[pick]))]
+    stack = [top]
     while stack:
         rel, a, b, rest = stack[-1]
         for c in rest:
             spend()
-            child = extend(rel, a, c, b)
-            if child is not None:
-                pick = branch(child)
-                if pick is None:
+            child = _grow(algebra, rel, ((a, c), (b, c)))
+            if subset(compose(child, converse(child)), allowed):
+                top = frame(child)
+                if top is None:
                     return child
-                stack.append((child, *pick, _bits(candidates[pick])))
+                stack.append(top)
                 break
         else:
             stack.pop()

@@ -1,7 +1,13 @@
+import io
 import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import run_python
 from tolrep import Document, DocumentError, corpus_get, parse_document, print_document
@@ -344,6 +350,107 @@ class TestArgumentErrors:
     def test_bad_kind(self, tmp_path, capsys):
         path = write(tmp_path, CHAIN2)
         assert run(["enumerate", path, "--kind", "everything"]) == 2
+
+
+# Lines that break a document in different ways, inserted at random spots.
+JUNK_LINES = ["op g 0", "op g x", "op f0 1 0", "size 0", "size 3", "size -1", "rel",
+              "rel theta", "algebra again", "0 9", "1", "0 1 2", "-1 0", "frob 1"]
+TERM_VARS = ["x", "y", "theta"]
+TERM_OPS = ["o", "&", "∘", "∩"]
+TERM_TOKENS = TERM_VARS + TERM_OPS + ["(", ")", "1x", "#"]
+REL_NAMES = ["theta", "r", "s"]
+EXIT_ONE = {"represent", "weak-represent", "permutable", "term-regular"}
+
+
+@st.composite
+def fuzz_documents(draw):
+    """(text, relation names) of a small document (size ≤ 4, arity ≤ 3).
+
+    Some documents get malformed lines.
+    """
+    n = draw(st.integers(1, 4))
+    point = st.integers(0, n - 1)
+    lines = ["algebra fuzz", f"size {n}"]
+    for i in range(draw(st.integers(0, 2))):
+        arity = draw(st.integers(1, 3))
+        table = draw(st.lists(point, min_size=n ** arity, max_size=n ** arity))
+        lines.append(f"op f{i} {arity}")
+        lines += [" ".join(map(str, table[k:k + n])) for k in range(0, len(table), n)]
+    names = draw(st.lists(st.sampled_from(REL_NAMES), unique=True,
+                          min_size=draw(st.sampled_from([0, 1, 1])), max_size=3))
+    for name in names:
+        lines.append(f"rel {name}")
+        if draw(st.booleans()):
+            pairs = [(a, b) for a in range(n) for b in range(n)]  # always a tolerance
+        else:
+            pairs = draw(st.lists(st.tuples(point, point), max_size=6))
+            if draw(st.booleans()):
+                pairs += [(b, a) for a, b in pairs]
+        lines += [f"{a} {b}" for a, b in pairs]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(JUNK_LINES)))
+    return "\n".join(lines) + "\n", names
+
+
+@st.composite
+def fuzz_argvs(draw, path, names, out_path):
+    """One random command on the document at path, with budgets ≤ 50."""
+    budget = st.integers(-1, 50).map(str)
+    if draw(st.booleans()):
+        tokens = draw(st.lists(st.sampled_from(TERM_TOKENS), max_size=8))
+    else:
+        # alternate variables and operators, so most of these parse
+        tokens = [draw(st.sampled_from(TERM_VARS))]
+        for _ in range(draw(st.integers(0, 3))):
+            tokens += [draw(st.sampled_from(TERM_OPS)), draw(st.sampled_from(TERM_VARS))]
+    term = draw(st.sampled_from([" ", ""])).join(tokens)
+    rel = draw(st.one_of(st.sampled_from(names + ["missing"]), st.none()))
+    rel_opt = [] if rel is None else ["--rel", rel]
+    command = draw(st.sampled_from(["check", "represent", "weak-represent", "expand",
+                                    "enumerate", "permutable", "term-eval", "term-regular"]))
+    if command == "term-regular":
+        argv = [command, "--term", term]
+    elif command == "term-eval":
+        binds = [f"{var}={draw(st.sampled_from(names + ['missing']))}"
+                 for var in TERM_VARS if draw(st.integers(0, 3))]
+        binds += draw(st.lists(st.sampled_from(["x", "z=theta"]), max_size=1))
+        argv = [command, path, "--term", term]
+        argv += [arg for bind in binds for arg in ("--bind", bind)]
+        argv += draw(st.sampled_from([[], ["--square"]]))
+    elif command == "represent":
+        argv = [command, path, *rel_opt, "--node-budget", draw(budget)]
+        argv += draw(st.sampled_from([[], ["--witness"]]))
+    elif command == "weak-represent":
+        argv = [command, path, *rel_opt, "--rel-budget", draw(budget)]
+        argv += draw(st.sampled_from([[], ["--witness"]]))
+    elif command == "expand":
+        argv = [command, path, *rel_opt, "-o", out_path]
+    elif command == "enumerate":
+        kind = draw(st.sampled_from(["admissible", "tolerances", "congruences"]))
+        argv = [command, path, "--kind", kind, "--limit", draw(budget)]
+    elif command == "permutable":
+        argv = [command, path, "--rel-budget", draw(budget)]
+    else:
+        argv = [command, path, *rel_opt]
+    return argv + draw(st.sampled_from([[], ["--json"]]))
+
+
+class TestRunFuzz:
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_exit_codes(self, data):
+        # Every command exits 0, 1, 2 or 3 without raising, and exit 1
+        # ("no") only comes from a command that decides a yes/no question.
+        doc, names = data.draw(fuzz_documents())
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "doc.txt")
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(doc)
+            argv = data.draw(fuzz_argvs(path, names, os.path.join(tmp, "out.txt")))
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                code = run(argv)
+        assert code in {0, 1, 2, 3}
+        assert code != 1 or argv[0] in EXIT_ONE
 
 
 class TestModuleEntryPoints:

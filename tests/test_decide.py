@@ -365,6 +365,30 @@ class TestWeakRepresentation:
             assert verify_weak_representation(alg, theta, slow)
 
 
+class TestRelationsBuilt:
+    # N is the number of relations each search builds to decide, one
+    # spend() per relation: budget N decides and budget N - 1 runs out.
+    # The counts pin the branching order as well as the pruning.
+    @pytest.mark.parametrize("name, search, what, need, answer", [
+        ("five_set", find_representation, "node", 34, False),
+        ("s7_semilattice", find_representation, "node", 84, False),
+        ("l7_majority", find_representation, "node", 84, False),
+        ("expand_five", find_representation, "node", 2, False),
+        ("theta_ab(5,1,3)", find_representation, "node", 7, True),
+        ("five_set", find_weak_representation, "relation", 25, True),
+        ("s7_semilattice", find_weak_representation, "relation", 69, True),
+        ("l7_majority", find_weak_representation, "relation", 69, True),
+        ("expand_five", find_weak_representation, "relation", 4, False),
+        ("theta_ab(5,1,3)", find_weak_representation, "relation", 7, True),
+    ])
+    def test_budget_edge(self, name, search, what, need, answer):
+        entry = corpus_get(name)
+        theta = entry.relations["theta"]
+        with pytest.raises(BudgetExceeded, match=f"^{what} budget of {need - 1} exhausted$"):
+            search(entry.algebra, theta, need - 1)
+        assert (search(entry.algebra, theta, need) is not None) == answer
+
+
 class TestToleranceEnumeration:
     def test_no_ops_three(self):
         got = enumerate_tolerances(Algebra(3))
