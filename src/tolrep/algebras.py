@@ -143,8 +143,10 @@ def _square_tables(algebra: Algebra) -> _Plan:
     """The kernel plan: componentwise tables on pair codes, grouped by arity."""
     n = algebra.n
     m = n * n
-    decomp = [divmod(c, n) for c in range(m)]
-    unary = [{} for _ in range(m)]
+    # Both scratch tables take m entries, so skip them when nothing reads them.
+    decomp = [divmod(c, n) for c in range(m)] if algebra.ops else ()
+    has_unary = any(op.arity == 1 for op in algebra.ops)
+    unary = [{} for _ in range(m)] if has_unary else ()
     binary = []
     higher = []
     for op in algebra.ops:
@@ -161,25 +163,23 @@ def _square_tables(algebra: Algebra) -> _Plan:
             binary.append((rows, tuple(sq[c::m] for c in range(m))))
         else:
             higher.append((op.arity, sq))
-    has_unary = any(op.arity == 1 for op in algebra.ops)
-    return _Plan(tuple(tuple(images) for images in unary) if has_unary else (),
-                 tuple(binary), tuple(higher))
+    return _Plan(tuple(tuple(images) for images in unary), tuple(binary), tuple(higher))
 
 
-def _saturate(algebra, member, codes, start):
-    """Close the code list under the operations, semi-naively.
+def _saturate(plan, m, member, codes, start):
+    """Close the code list under the operations of the plan, semi-naively.
 
-    codes is its own FIFO worklist and codes[:start] is already closed.
-    Code i is combined only with codes[:i + 1], in every argument
-    position, so an argument tuple is built only once its last-added
-    component is reached, and no tuple inside the closed prefix is built.
-    member is the set of codes present; a whole row of images is tested
-    against it at once, and new images are appended after each code.
-    Images of swapped tuples are the swapped images, so a symmetric start
-    closes to a symmetric list.
+    plan is the algebra's kernel plan and m = n * n the number of codes;
+    _grow is the only caller.  codes is its own FIFO worklist and
+    codes[:start] is already closed.  Code i is combined only with
+    codes[:i + 1], in every argument position, so an argument tuple is
+    built only once its last-added component is reached, and no tuple
+    inside the closed prefix is built.  member is the set of codes
+    present; a whole row of images is tested against it at once, and new
+    images are appended after each code.  Images of swapped tuples are the
+    swapped images, so a symmetric start closes to a symmetric list.
     """
-    m = algebra.n ** 2
-    unary, binary, higher = _square_tables(algebra)
+    unary, binary, higher = plan
     covered = member.issuperset
     i = start
     while i < len(codes):
@@ -242,30 +242,19 @@ def closure(algebra: Algebra, seed: Iterable[tuple[int, int]], mode: str) -> Bin
     "reflexive" adds the diagonal; "reflexive-symmetric" also adds the
     converse of every pair.  The result is closed under every operation of
     the algebra applied componentwise, hence always admissible (and a
-    tolerance in the symmetric mode).
+    tolerance in the symmetric mode).  After checking the mode and the
+    seed, this is _grow from the diagonal, so it builds the algebra's
+    kernel plan even when the seed adds nothing.
     """
     if mode not in CLOSURE_MODES:
         raise ValueError(f"mode must be one of {CLOSURE_MODES}, got {mode!r}")
-    symmetric = mode == "reflexive-symmetric"
     n = algebra.n
     seed = list(seed)
     for a, b in seed:
         if not (0 <= a < n and 0 <= b < n):
             raise ValueError(f"seed pair ({a}, {b}) out of range for universe of size {n}")
     # The diagonal is closed: operations map diagonal tuples to the diagonal.
-    codes = [v * n + v for v in range(n)]
-    member = set(codes)
-    _add_pairs(member, codes, seed, symmetric, n)
-    _saturate(algebra, member, codes, n)
-    return _or_codes(BinRel.diagonal(n), islice(codes, n, None))
-
-
-def _add_pairs(member, codes, pairs, symmetric, n):
-    for a, b in pairs:
-        for code in (a * n + b, b * n + a) if symmetric else (a * n + b,):
-            if code not in member:
-                member.add(code)
-                codes.append(code)
+    return _grow(algebra, BinRel.diagonal(n), seed, mode == "reflexive-symmetric")
 
 
 @lru_cache(maxsize=1)
@@ -287,29 +276,31 @@ def _codes(rel: BinRel) -> tuple[int, ...]:
     return tuple(codes)
 
 
-def _or_codes(rel: BinRel, codes: Iterable[int]) -> BinRel:
-    n = rel.n
-    rows = list(rel.rows)
-    for code in codes:
-        rows[code // n] |= 1 << (code % n)
-    return BinRel(n, rows)
-
-
 def _grow(algebra: Algebra, rel: BinRel, extra: Iterable[tuple[int, int]], symmetric=False) -> BinRel:
     """Closure of rel plus extra pairs, assuming rel itself is already closed.
 
-    Returns rel itself when extra adds nothing; otherwise only the new
-    codes are ORed into a copy of its rows.
+    The one way into the closure kernel.  The kernel plan is fetched
+    first, so every call builds it for a new algebra.  Returns rel itself
+    when extra adds nothing; otherwise only the new codes are ORed into a
+    copy of its rows.  symmetric adds each extra pair's converse too.
     """
     n = algebra.n
+    plan = _square_tables(algebra)
     codes = list(_codes(rel))
     member = set(codes)
     start = len(codes)
-    _add_pairs(member, codes, extra, symmetric, n)
+    for a, b in extra:
+        for code in (a * n + b, b * n + a) if symmetric else (a * n + b,):
+            if code not in member:
+                member.add(code)
+                codes.append(code)
     if len(codes) == start:
         return rel
-    _saturate(algebra, member, codes, start)
-    return _or_codes(rel, islice(codes, start, None))
+    _saturate(plan, n * n, member, codes, start)
+    rows = list(rel.rows)
+    for code in islice(codes, start, None):
+        rows[code // n] |= 1 << (code % n)
+    return BinRel(n, rows)
 
 
 def is_compatible(algebra: Algebra, rel: BinRel) -> bool:

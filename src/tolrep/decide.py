@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, Optional
 
-from .algebras import Algebra, _grow, classify_relation, closure, is_compatible
+from .algebras import Algebra, _grow, classify_relation, is_compatible
 from .errors import BudgetExceeded
 from .relations import BinRel, _bits, compose, converse, intersect, subset, union
 
@@ -93,24 +93,28 @@ def _budget(limit: int, what: str):
 def _cover_search(algebra: Algebra, cover: BinRel, allowed: BinRel, spend) -> Optional[BinRel]:
     """A reflexive compatible R with cover inside R∘R⁻ and R∘R⁻ inside allowed.
 
-    The root is the diagonal, which every operation preserves, and each
-    state is kept compatibility-closed.  The off-diagonal cover pairs
-    (a, b) are ordered once, fewest candidates c in allowed[a] & allowed[b]
-    first and ties by index; the candidates never change, so a branch
-    takes the first pair of that order the state leaves uncovered and
-    tries each c by adding (a, c) and (b, c).  A child is kept exactly when
-    its R∘R⁻ stays inside allowed, which keeps the child inside allowed
-    too, since S ⊆ S∘S⁻ for a reflexive S.  Any solution S has S∘S⁻ inside
-    allowed and contains some child of every state below it, so the
-    pruning is sound and exhausting the tree proves no R exists.  cover
-    and allowed must be symmetric.  spend() is called once per relation
-    built.  Candidates are tried in ascending index order, so the result
-    is canonical.
+    (a, b) is in R∘R⁻ exactly when rows a and b of R meet; that is the one
+    R∘R⁻ test here.  The root is the diagonal, which every operation
+    preserves, and each state is kept compatibility-closed.  The
+    off-diagonal cover pairs (a, b) are ordered once, fewest candidates c
+    in allowed[a] & allowed[b] first and ties by index; the candidates
+    never change, so a branch takes the first pair of that order whose rows
+    the state leaves apart and tries each c by adding (a, c) and (b, c).  A
+    child is kept exactly when no row it changed meets a row it may not
+    meet: its parent passed (the root does, as allowed is reflexive), so
+    then its R∘R⁻ stays inside allowed, and so does the child, since
+    S ⊆ S∘S⁻ for a reflexive S.  Any solution S has S∘S⁻ inside allowed
+    and contains some child of every state below it, so the pruning is
+    sound and exhausting the tree proves no R exists.  cover must be
+    symmetric, and allowed reflexive and symmetric, as R∘R⁻ is.  spend()
+    is called once per relation built.  Candidates are tried in ascending
+    index order, so the result is canonical.
     """
     n = algebra.n
     arows = allowed.rows
     order = sorted(((a, b, arows[a] & arows[b]) for a in range(n) for b in range(a + 1, n)
                     if cover.rows[a] >> b & 1), key=lambda entry: entry[2].bit_count())
+    outside = [((1 << n) - 1) ^ row for row in arows]  # the b with (a, b) not allowed
 
     def frame(rel):
         """(rel, a, b, candidates) for the first pair rel leaves uncovered, or None."""
@@ -132,7 +136,9 @@ def _cover_search(algebra: Algebra, cover: BinRel, allowed: BinRel, spend) -> Op
         for c in rest:
             spend()
             child = _grow(algebra, rel, ((a, c), (b, c)))
-            if subset(compose(child, converse(child)), allowed):
+            rows = child.rows
+            if not any(rows[x] & rows[y] for x, old in enumerate(rel.rows) if rows[x] != old
+                       for y in _bits(outside[x])):
                 top = frame(child)
                 if top is None:
                     return child
@@ -413,10 +419,10 @@ def enumerate_congruences(algebra: Algebra, limit: int = DEFAULT_REL_BUDGET) -> 
     # and it is already compatible: it is the union of the chain (α∘β)^k,
     # and composites of compatible reflexive relations are compatible.
     n = algebra.n
-    cg = {(a, b): _congruence_close(algebra, closure(algebra, ((a, b),), "reflexive-symmetric"))
+    diag = BinRel.diagonal(n)
+    cg = {(a, b): _congruence_close(algebra, _grow(algebra, diag, ((a, b),), symmetric=True))
           for a in range(n) for b in range(a + 1, n)}
-    members = _join_closure(BinRel.diagonal(n), cg,
-                            lambda r, pair: _transitive_close(union(r, cg[pair])))
+    members = _join_closure(diag, cg, lambda r, pair: _transitive_close(union(r, cg[pair])))
     return _lattice(members, limit, "congruence")
 
 

@@ -248,6 +248,22 @@ class TestKernelPlan:
         assert after.currsize - before.currsize == 1
         assert after.hits - before.hits == 1
 
+    @pytest.mark.parametrize("mode", [mode for mode, _ in MODES])
+    def test_closure_builds_the_plan_even_from_an_empty_seed(self, mode):
+        # Callers build plans ahead of timed work through closure(alg, (), mode).
+        table = tuple((x * y + 1) % 3 for x in range(3) for y in range(3))
+        alg = Algebra(3, (OperationTable(f"plan_{mode}", 2, table),))
+        before = _square_tables.cache_info().misses
+        assert closure(alg, (), mode) == BinRel.diagonal(3)
+        assert _square_tables.cache_info().misses - before == 1
+
+    def test_grow_builds_the_plan_before_returning_rel(self):
+        alg = Algebra(3, (OperationTable("plan_grow", 1, (1, 2, 0)),))
+        diag = BinRel.diagonal(3)
+        before = _square_tables.cache_info().misses
+        assert _grow(alg, diag, [(1, 1), (2, 2)], symmetric=True) is diag
+        assert _square_tables.cache_info().misses - before == 1
+
     def test_pickled_algebra_recomputes_its_hash(self):
         alg = two_chain()
         object.__setattr__(alg, "_hash", 12345)  # as if hashed in another process

@@ -131,6 +131,15 @@ class TestFindRepresentation:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "ok"
 
+    def test_keep_test_reads_rows_the_closure_changed(self):
+        # Branching on (1, 3) with c = 3 adds (1, 3), and f then adds
+        # (f(1), f(3)) = (0, 1): row 0 meets row 2, so that child puts
+        # (0, 2) outside theta into R∘R⁻ although rows 1 and 3 look fine.
+        alg = Algebra(4, (OperationTable("f", 1, (0, 0, 0, 1)),))
+        theta = BinRel.from_pairs(4, [(0, 1), (1, 2), (1, 3)], reflexive=True, symmetric=True)
+        witness = find_representation(alg, theta)
+        assert witness is not None and verify_representation(alg, theta, witness.rel)
+
     def test_composite_grows_with_relation(self):
         # pruning on composites is sound because composition is monotone
         entry = corpus_get("five_set")
