@@ -21,7 +21,7 @@ from .algebras import (
     expand,
     is_compatible,
 )
-from .cli import Document, parse_document, print_document
+from . import cli  # the console front end loads with the package
 from .corpus import CorpusEntry, corpus_get, corpus_names
 from .decide import (
     DEFAULT_NODE_BUDGET,
@@ -42,6 +42,7 @@ from .decide import (
     verify_representation,
     verify_weak_representation,
 )
+from .document import Document, parse_document, print_document
 from .errors import BudgetExceeded, DimensionError, DocumentError, TermSyntaxError
 from .relations import (
     BinRel,

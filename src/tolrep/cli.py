@@ -1,14 +1,7 @@
-"""Command line front end and the plain-text algebra document format.
+"""Command line front end over algebra documents.
 
-A document names one algebra and any number of reflexive relations:
-
-    # comments run to end of line
-    algebra NAME
-    size N
-    op NAME ARITY
-    ... n**ARITY integers, row-major, first argument most significant ...
-    rel NAME
-    a b          # one ordered pair per line; the diagonal is implicit
+Each command reads one document (see `tolrep.document` for the format),
+except `term-regular`, `corpus` and `verify-paper`.
 
 Exit codes: 0 when the queried property holds (or the command just
 reports), 1 when it fails, 2 for usage or format errors, 3 when a search
@@ -21,167 +14,16 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 
 from . import decide
-from .algebras import Algebra, OperationTable, classify_relation, expand
+from .algebras import classify_relation, expand
 from .corpus import corpus_get, corpus_names
+from .document import Document, _rel_block, parse_document, print_document
 from .errors import BudgetExceeded, DocumentError
 from .relations import BinRel, classify_shape, compose
 from .terms import eval_term, is_regular, parse_term, term_variables
 
-__all__ = ["Document", "parse_document", "print_document", "run", "main"]
-
-
-@dataclass
-class Document:
-    """An algebra plus named reflexive relations, as read from a file."""
-
-    name: str
-    algebra: Algebra
-    relations: dict[str, BinRel] = field(default_factory=dict)
-
-    def __post_init__(self):
-        for rname, rel in self.relations.items():
-            if rel.n != self.algebra.n:
-                raise ValueError(f"relation {rname!r} lives on {rel.n} elements, "
-                                 f"algebra on {self.algebra.n}")
-            if not all(rel.rows[a] >> a & 1 for a in range(rel.n)):
-                raise ValueError(f"relation {rname!r} is missing diagonal pairs")
-
-
-def _ints(tokens):
-    try:
-        return [int(t) for t in tokens]
-    except ValueError:
-        return None
-
-
-def parse_document(text: str) -> Document:
-    """Parse the document format; all failures carry the offending line."""
-    name = None
-    n = None
-    ops: list[OperationTable] = []
-    op_names: set[str] = set()
-    pending: dict | None = None
-    relations: dict[str, list[int]] = {}
-    current_rel: str | None = None
-
-    def fail(lineno, message):
-        raise DocumentError(lineno, message)
-
-    def take(lineno, values):
-        """Add table entries to the pending operation; finish it when full."""
-        nonlocal pending
-        for v in values:
-            if not (0 <= v < n):
-                fail(lineno, f"value {v} outside the universe of size {n}")
-        pending["values"].extend(values)
-        if len(pending["values"]) > pending["want"]:
-            fail(lineno, f"operation {pending['name']!r} expects "
-                         f"{pending['want']} entries, got more")
-        if len(pending["values"]) == pending["want"]:
-            ops.append(OperationTable(pending["name"], pending["arity"],
-                                      tuple(pending["values"])))
-            pending = None
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        values = _ints(tokens)
-        if values is not None:
-            if pending is not None:
-                take(lineno, values)
-                continue
-            if current_rel is not None:
-                if len(values) != 2:
-                    fail(lineno, "expected a pair of two integers")
-                a, b = values
-                if not (0 <= a < n and 0 <= b < n):
-                    fail(lineno, f"pair ({a}, {b}) outside the universe of size {n}")
-                relations[current_rel][a] |= 1 << b
-                continue
-            fail(lineno, "values outside an op or rel block")
-        keyword = tokens[0]
-        if pending is not None:
-            fail(lineno, f"operation {pending['name']!r} expects {pending['want']} "
-                         f"entries, got {len(pending['values'])}")
-        current_rel = None
-        if keyword == "algebra":
-            if name is not None:
-                fail(lineno, "duplicate algebra line")
-            if len(tokens) != 2:
-                fail(lineno, "expected: algebra NAME")
-            name = tokens[1]
-        elif keyword == "size":
-            if name is None:
-                fail(lineno, "size must follow the algebra line")
-            if n is not None:
-                fail(lineno, "duplicate size line")
-            got = _ints(tokens[1:])
-            if len(tokens) != 2 or got is None or got[0] <= 0:
-                fail(lineno, "expected: size N with N positive")
-            n = got[0]
-        elif keyword == "op":
-            if n is None:
-                fail(lineno, "op must follow the size line")
-            if len(tokens) < 3:
-                fail(lineno, "expected: op NAME ARITY")
-            arity = _ints(tokens[2:3])
-            if arity is None or arity[0] < 1:
-                fail(lineno, f"bad arity {tokens[2]!r}")
-            if tokens[1] in op_names:
-                fail(lineno, f"duplicate operation name {tokens[1]!r}")
-            op_names.add(tokens[1])
-            pending = {"name": tokens[1], "arity": arity[0],
-                       "want": n ** arity[0], "values": []}
-            inline = _ints(tokens[3:])
-            if inline is None:
-                fail(lineno, "table entries must be integers")
-            take(lineno, inline)
-        elif keyword == "rel":
-            if n is None:
-                fail(lineno, "rel must follow the size line")
-            if len(tokens) != 2:
-                fail(lineno, "expected: rel NAME")
-            if tokens[1] in relations:
-                fail(lineno, f"duplicate relation name {tokens[1]!r}")
-            relations[tokens[1]] = [1 << a for a in range(n)]
-            current_rel = tokens[1]
-        else:
-            fail(lineno, f"unknown keyword {keyword!r}")
-    if pending is not None:
-        fail(len(text.splitlines()) + 1,
-             f"operation {pending['name']!r} expects {pending['want']} entries, "
-             f"got {len(pending['values'])}")
-    if name is None:
-        fail(1, "missing algebra line")
-    if n is None:
-        fail(1, "missing size line")
-    return Document(name, Algebra(n, tuple(ops)),
-                    {rname: BinRel(n, rows) for rname, rows in relations.items()})
-
-
-def print_document(doc: Document) -> str:
-    """Canonical text form; parse_document round-trips it."""
-    n = doc.algebra.n
-    lines = [f"algebra {doc.name}", f"size {n}"]
-    for op in doc.algebra.ops:
-        lines.append(f"op {op.name} {op.arity}")
-        for start in range(0, len(op.table), n):
-            lines.append(" ".join(str(v) for v in op.table[start:start + n]))
-    lines += [_rel_block(rname, rel) for rname, rel in doc.relations.items()]
-    return "\n".join(lines) + "\n"
-
-
-def _rel_block(name: str, rel: BinRel) -> str:
-    lines = [f"rel {name}"]
-    for a, b in rel.pairs():
-        if a != b:
-            lines.append(f"{a} {b}")
-    return "\n".join(lines)
+__all__ = ["run", "main"]
 
 
 def _rel_json(rel: BinRel) -> dict:
@@ -369,9 +211,7 @@ def _cmd_term_regular(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
-    entry = corpus_get(args.name)
-    doc = Document(entry.name, entry.algebra, dict(entry.relations))
-    text = f"# {entry.notes}\n" + print_document(doc)
+    text = print_document(corpus_get(args.name))
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)

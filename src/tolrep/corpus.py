@@ -1,17 +1,19 @@
 """Bundled algebras and relations used throughout the test-suite and CLI.
 
-Element numbering is fixed and documented per entry; the names accepted by
-corpus_get are five_set, s7_semilattice, l7_majority, m3, n5, chain(k),
-theta_ab(n,a,b) and expand_five (the parameterized ones written exactly
-like that, e.g. "chain(4)" or "theta_ab(5,0,1)").
+Every entry is a `Document` whose notes describe it, so `tolrep corpus`
+prints it as it is.  Element numbering is fixed and documented per entry;
+the names accepted by corpus_get are five_set, s7_semilattice,
+l7_majority, m3, n5, chain(k), theta_ab(n,a,b) and expand_five (the
+parameterized ones written exactly like that, e.g. "chain(4)" or
+"theta_ab(5,0,1)").
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .algebras import Algebra, OperationTable, expand
+from .document import Document
 from .relations import BinRel
 
 __all__ = [
@@ -29,12 +31,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
-    name: str
-    algebra: Algebra
-    relations: dict[str, BinRel]
-    notes: str
+CorpusEntry = Document  # kept so that code importing CorpusEntry still works
 
 
 def _lattice_ops(n: int, leq_pairs: set[tuple[int, int]]) -> tuple[OperationTable, OperationTable]:
@@ -60,7 +57,7 @@ def _leq_rel(n: int, leq_pairs: set[tuple[int, int]]) -> BinRel:
     return BinRel.from_pairs(n, leq_pairs, reflexive=True)
 
 
-def five_set() -> CorpusEntry:
+def five_set() -> Document:
     """Five-element set with no operations; a, b1, b2, b3, c are 0..4.
 
     theta is the smallest reflexive symmetric relation with a theta b_i
@@ -71,7 +68,7 @@ def five_set() -> CorpusEntry:
         5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)],
         reflexive=True, symmetric=True,
     )
-    return CorpusEntry(
+    return Document(
         "five_set",
         Algebra(5),
         {"theta": theta},
@@ -87,7 +84,7 @@ def _s7_theta() -> BinRel:
     return BinRel.from_pairs(7, pairs, reflexive=True, symmetric=True)
 
 
-def s7_semilattice() -> CorpusEntry:
+def s7_semilattice() -> Document:
     """Join semilattice on seven elements: six minimal elements below a top.
 
     Minimals a, b1, b2, b3, b4, c are 0..5 and the top is 6; the join of
@@ -96,7 +93,7 @@ def s7_semilattice() -> CorpusEntry:
     not representable: there is no meet to cut theta down along the order.
     """
     join = OperationTable.from_function("join", 2, 7, lambda x, y: x if x == y else 6)
-    return CorpusEntry(
+    return Document(
         "s7_semilattice",
         Algebra(7, (join,)),
         {"theta": _s7_theta()},
@@ -105,44 +102,20 @@ def s7_semilattice() -> CorpusEntry:
     )
 
 
-def l7_majority() -> CorpusEntry:
+def l7_majority() -> Document:
     """Majority algebra on the seven nonzero elements of an eight-element lattice.
 
     The ambient lattice has six atoms (0..5 here), a top (6) and a bottom;
-    f(x, y, z) = (x+y)(x+z)(y+z) is the lattice median, which never hits
-    the bottom on nonzero arguments, so the nonzero part carries f as a
-    ternary majority operation.  theta is the same relation as on the
-    semilattice entry and is again a tolerance, again not representable.
+    f(x, y, z) = (x+y)(x+z)(y+z) is the lattice median.  Two distinct
+    nonzero elements join to the top, so on nonzero arguments f is the
+    repeated argument if there is one and the top otherwise: the nonzero
+    part carries f as a ternary majority operation.  theta is the same
+    relation as on the semilattice entry and is again a tolerance, again
+    not representable.
     """
-    top, bottom = 6, 7
-
-    def join(x, y):
-        if x == y:
-            return x
-        if bottom in (x, y):
-            return x if y == bottom else y
-        return top
-
-    def meet(x, y):
-        if x == y:
-            return x
-        if top in (x, y):
-            return x if y == top else y
-        return bottom
-
-    def f(x, y, z):
-        return meet(meet(join(x, y), join(x, z)), join(y, z))
-
-    table = []
-    for x in range(7):
-        for y in range(7):
-            for z in range(7):
-                v = f(x, y, z)
-                if v == bottom:
-                    raise ValueError("median escaped the nonzero elements")
-                table.append(v)
-    maj = OperationTable("f", 3, tuple(table))
-    return CorpusEntry(
+    maj = OperationTable.from_function(
+        "f", 3, 7, lambda x, y, z: x if x in (y, z) else y if y == z else 6)
+    return Document(
         "l7_majority",
         Algebra(7, (maj,)),
         {"theta": _s7_theta()},
@@ -151,11 +124,11 @@ def l7_majority() -> CorpusEntry:
     )
 
 
-def m3() -> CorpusEntry:
+def m3() -> Document:
     """Diamond lattice: bottom 0, atoms 1..3, top 4."""
     leq = {(0, x) for x in range(5)} | {(x, 4) for x in range(5)}
     join, meet = _lattice_ops(5, leq)
-    return CorpusEntry(
+    return Document(
         "m3",
         Algebra(5, (join, meet)),
         {"leq": _leq_rel(5, leq)},
@@ -164,11 +137,11 @@ def m3() -> CorpusEntry:
     )
 
 
-def n5() -> CorpusEntry:
+def n5() -> Document:
     """Pentagon lattice: 0 < 1 < 3 < 4 and 0 < 2 < 4."""
     leq = {(0, 1), (0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (2, 4), (3, 4)}
     join, meet = _lattice_ops(5, leq)
-    return CorpusEntry(
+    return Document(
         "n5",
         Algebra(5, (join, meet)),
         {"leq": _leq_rel(5, leq)},
@@ -177,14 +150,14 @@ def n5() -> CorpusEntry:
     )
 
 
-def chain(k: int) -> CorpusEntry:
+def chain(k: int) -> Document:
     """Chain lattice 0 < 1 < ... < k-1."""
     if k <= 0:
         raise ValueError(f"chain length must be positive, got {k}")
     leq = {(a, b) for a in range(k) for b in range(a, k)}
     join = OperationTable.from_function("join", 2, k, max)
     meet = OperationTable.from_function("meet", 2, k, min)
-    return CorpusEntry(
+    return Document(
         f"chain({k})",
         Algebra(k, (join, meet)),
         {"leq": _leq_rel(k, leq)},
@@ -192,7 +165,7 @@ def chain(k: int) -> CorpusEntry:
     )
 
 
-def theta_ab(n: int, a: int, b: int) -> CorpusEntry:
+def theta_ab(n: int, a: int, b: int) -> Document:
     """All pairs except (a, b) and (b, a), on a set with no operations.
 
     Always representable: rep shrinks rows a and b to their diagonal bit
@@ -211,7 +184,7 @@ def theta_ab(n: int, a: int, b: int) -> CorpusEntry:
     rep_rows[a] = 1 << a
     rep_rows[b] = 1 << b
     rep = BinRel(n, rep_rows)
-    return CorpusEntry(
+    return Document(
         f"theta_ab({n},{a},{b})",
         Algebra(n),
         {"theta": theta, "rep": rep},
@@ -220,7 +193,7 @@ def theta_ab(n: int, a: int, b: int) -> CorpusEntry:
     )
 
 
-def expand_five() -> CorpusEntry:
+def expand_five() -> Document:
     """Unary expansion of five_set by all maps into theta-related pairs.
 
     In the expansion every reflexive compatible relation other than the
@@ -229,7 +202,7 @@ def expand_five() -> CorpusEntry:
     """
     base = five_set()
     theta = base.relations["theta"]
-    return CorpusEntry(
+    return Document(
         "expand_five",
         expand(base.algebra, theta),
         {"theta": theta},
@@ -255,7 +228,7 @@ def corpus_names() -> list[str]:
     return sorted(_PLAIN) + ["chain(k)", "theta_ab(n,a,b)"]
 
 
-def corpus_get(name: str) -> CorpusEntry:
+def corpus_get(name: str) -> Document:
     """Look up a corpus entry by name; parameterized names take literal integers."""
     if name in _PLAIN:
         return _PLAIN[name]()

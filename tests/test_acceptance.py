@@ -26,3 +26,19 @@ def test_criterion(results, name):
     line = f"{'PASS' if res.passed else 'FAIL'} {res.name}: {res.detail}"
     print(line)
     assert res.passed, line
+
+
+def test_run_all_reports_failures(monkeypatch):
+    @verify._check
+    def check_condition_breaks():
+        raise verify.CheckFailed("theta escaped")
+
+    @verify._check
+    def check_body_crashes():
+        raise KeyError("theta")
+
+    monkeypatch.setattr(verify, "CHECKS", (check_condition_breaks, check_body_crashes))
+    assert verify.run_all() == [
+        verify.CheckResult("condition-breaks", False, "theta escaped"),
+        verify.CheckResult("body-crashes", False, "raised KeyError('theta')"),
+    ]

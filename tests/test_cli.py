@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import run_python
-from tolrep import Document, DocumentError, corpus_get, parse_document, print_document
+from tolrep import (Algebra, BinRel, Document, DocumentError, corpus_get, parse_document,
+                    print_document)
 from tolrep.cli import run
 
 
@@ -21,9 +22,7 @@ def write(tmp_path, text, name="alg.txt"):
 
 
 def corpus_file(tmp_path, name):
-    entry = corpus_get(name)
-    doc = Document(entry.name, entry.algebra, dict(entry.relations))
-    return write(tmp_path, print_document(doc), name="corpus.txt")
+    return write(tmp_path, print_document(corpus_get(name)), name="corpus.txt")
 
 
 CHAIN2 = """\
@@ -87,6 +86,16 @@ class TestDocumentParsing:
             ("algebra a\nsize 2\nmystery 1\n", 3),
             ("algebra a\nalgebra b\nsize 2\n", 2),
             ("algebra a\nsize 2\nop f 1\n0 0\n0 0\n", 5),
+            ("algebra a\nsize 2\nop f 1\n0 2\n", 4),  # value outside the universe
+            ("algebra a\nsize 2\nop f 1\n0 1 0\n", 4),  # too many entries
+            ("algebra\nsize 2\n", 1),
+            ("algebra a\nsize 0\n", 2),
+            ("algebra a\nop f 1\n", 2),  # op before size
+            ("algebra a\nsize 1\nop f 1 0\nop f 1 0\n", 4),  # duplicate op
+            ("algebra a\nsize 2\nop f 1 0 x\n", 3),  # non-integer inline entries
+            ("algebra a\nsize 2\nrel\n", 3),
+            ("algebra a\nsize 2\nop f 2\n0 1\n", 5),  # table cut off at end of file
+            ("# no algebra\n", 1),
         ],
     )
     def test_error_line_numbers(self, text, line):
@@ -101,6 +110,23 @@ class TestDocumentParsing:
     def test_duplicate_relation(self):
         with pytest.raises(DocumentError):
             parse_document("algebra a\nsize 2\nrel r\nrel r\n")
+
+    def test_relation_of_wrong_size(self):
+        with pytest.raises(ValueError, match="lives on 3 elements"):
+            Document("a", Algebra(2), {"r": BinRel.diagonal(3)})
+
+    def test_relation_missing_diagonal(self):
+        with pytest.raises(ValueError, match="missing diagonal"):
+            Document("a", Algebra(2), {"r": BinRel(2, (1, 0))})
+
+    @pytest.mark.parametrize("name", ["five_set", "l7_majority", "theta_ab(4,1,2)"])
+    def test_corpus_entry_roundtrip(self, name):
+        # notes print as the leading comment, which parsing skips; equality ignores them
+        entry = corpus_get(name)
+        text = print_document(entry)
+        assert text.startswith(f"# {entry.notes}\nalgebra {entry.name}\n")
+        assert parse_document(text) == entry
+        assert parse_document(text).notes == ""
 
 
 class TestCheckCommand:

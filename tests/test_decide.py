@@ -221,6 +221,47 @@ class TestRepresentViaOrder:
         with pytest.raises(ValueError, match="absorption"):
             represent_via_order(alg, "join", "meet", BinRel.full(2))
 
+    def test_rejects_non_binary_operations(self):
+        alg = Algebra(2, (OperationTable("j", 1, (0, 1)), OperationTable("m", 2, (0, 0, 0, 1))))
+        with pytest.raises(ValueError, match="binary"):
+            represent_via_order(alg, "j", "m", BinRel.full(2))
+
+    def test_rejects_non_commutative_join(self):
+        left = OperationTable.from_function("j", 2, 2, lambda x, y: x)
+        alg = Algebra(2, (left, OperationTable.from_function("m", 2, 2, min)))
+        with pytest.raises(ValueError, match="commutative"):
+            represent_via_order(alg, "j", "m", BinRel.full(2))
+
+    def test_rejects_broken_first_absorption(self):
+        join = OperationTable.from_function("join", 2, 2, max)
+        right = OperationTable.from_function("meet", 2, 2, lambda x, y: y)
+        with pytest.raises(ValueError, match=r"meet\(a, join\(a, b\)\) = a"):
+            represent_via_order(Algebra(2, (join, right)), "join", "meet", BinRel.full(2))
+
+    def test_rejects_non_associative_join(self):
+        # 0, 1 < 2, 3 < 4: join picks the upper bound 2 for {0, 1}, so
+        # (0 v 1) v 3 = 4 but 0 v (1 v 3) = 3; meet is the lower of two
+        # comparable elements, so both absorption identities hold
+        up = {0: {0, 2, 3, 4}, 1: {1, 2, 3, 4}, 2: {2, 4}, 3: {3, 4}, 4: {4}}
+
+        def join(x, y):
+            return min(up[x] & up[y])
+
+        def meet(x, y):
+            return x if y in up[x] else y if x in up[y] else 0
+
+        alg = Algebra(5, (OperationTable.from_function("join", 2, 5, join),
+                          OperationTable.from_function("meet", 2, 5, meet)))
+        with pytest.raises(ValueError, match="associative"):
+            represent_via_order(alg, "join", "meet", BinRel.full(5))
+
+    def test_rejects_incompatible_order(self):
+        chain2 = corpus_get("chain(2)").algebra
+        flip = OperationTable("flip", 1, (1, 0))
+        alg = Algebra(2, (*chain2.ops, flip))
+        with pytest.raises(ValueError, match="not compatible"):
+            represent_via_order(alg, "join", "meet", BinRel.full(2))
+
     def test_every_lattice_tolerance(self):
         for name in ("m3", "n5", "chain(4)", "chain(2)"):
             entry = corpus_get(name)
@@ -319,6 +360,31 @@ class TestWeakRepresentation:
         witness = find_weak_representation(entry.algebra, theta)
         clipped = type(witness)(dict(list(witness.separators.items())[:-1]))
         assert not verify_weak_representation(entry.algebra, theta, clipped)
+
+    @pytest.mark.parametrize("corruption", [
+        "extra key", "other universe", "not reflexive", "incompatible",
+        "composite misses theta", "composite holds key",
+    ])
+    def test_verify_rejects_corrupted_family(self, corruption):
+        # five_set has no operations, so only s7_semilattice can hold an incompatible one
+        entry = corpus_get("s7_semilattice" if corruption == "incompatible" else "five_set")
+        alg, theta, n = entry.algebra, entry.relations["theta"], entry.algebra.n
+        witness = find_weak_representation(alg, theta)
+        assert verify_weak_representation(alg, theta, witness)
+        separators = dict(witness.separators)
+        key = next(iter(separators))
+        if corruption == "extra key":
+            separators[(0, 0)] = BinRel.diagonal(n)
+        else:
+            separators[key] = {
+                "other universe": BinRel.diagonal(n + 1),
+                "not reflexive": BinRel.from_pairs(n, [(a, a) for a in range(n - 1)]),
+                # join(0, 0) = 0 but join(1, 0) = 6, and (0, 6) is missing
+                "incompatible": BinRel.from_pairs(n, [(0, 1)], reflexive=True),
+                "composite misses theta": BinRel.diagonal(n),
+                "composite holds key": BinRel.full(n),
+            }[corruption]
+        assert not verify_weak_representation(alg, theta, type(witness)(separators))
 
     @pytest.mark.parametrize("name", ["s7_semilattice", "l7_majority"])
     def test_corpus_with_operations(self, name):
