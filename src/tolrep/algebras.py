@@ -336,20 +336,32 @@ def is_compatible(algebra: Algebra, rel: BinRel) -> bool:
 
 @dataclass(frozen=True)
 class RelationClass:
+    """The flags of `tolrep check`, in the order it prints them."""
+
+    reflexive: bool
+    symmetric: bool
+    transitive: bool
+    compatible: bool
+    admissible: bool
     tolerance: bool
     congruence: bool
-    admissible: bool
 
 
 def classify_relation(algebra: Algebra, rel: BinRel) -> RelationClass:
     """Admissible = reflexive compatible; tolerance adds symmetry; congruence adds transitivity."""
+    compatible = is_compatible(algebra, rel)
     shape = classify_shape(rel)
-    if rel.n != algebra.n:
-        raise DimensionError(f"relation lives on {rel.n} elements, algebra on {algebra.n}")
-    admissible = shape.reflexive and is_compatible(algebra, rel)
+    admissible = shape.reflexive and compatible
     tolerance = admissible and shape.symmetric
-    congruence = tolerance and shape.transitive
-    return RelationClass(tolerance, congruence, admissible)
+    return RelationClass(shape.reflexive, shape.symmetric, shape.transitive, compatible,
+                         admissible, tolerance, tolerance and shape.transitive)
+
+
+def _require_tolerance(algebra: Algebra, rel: BinRel, what: str = "relation") -> None:
+    """Raise ValueError, naming the relation by what, unless rel is a tolerance."""
+    if not classify_relation(algebra, rel).tolerance:
+        raise ValueError(f"{what} is not a tolerance of the algebra "
+                         "(needs reflexivity, symmetry and compatibility)")
 
 
 def expand(algebra: Algebra, theta: BinRel) -> Algebra:
@@ -362,8 +374,7 @@ def expand(algebra: Algebra, theta: BinRel) -> Algebra:
     relation of the expansion other than the diagonal contains theta,
     because an off-diagonal (c, d) maps onto every (a, b) with a theta b.
     """
-    if not classify_relation(algebra, theta).tolerance:
-        raise ValueError("expansion requires a tolerance of the algebra")
+    _require_tolerance(algebra, theta)
     n = algebra.n
     seen = set()
     tables = []

@@ -11,6 +11,7 @@ or enumeration budget runs out.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -20,7 +21,7 @@ from .algebras import classify_relation, expand
 from .corpus import corpus_get, corpus_names
 from .document import Document, _rel_block, parse_document, print_document
 from .errors import BudgetExceeded, DocumentError
-from .relations import BinRel, classify_shape, compose
+from .relations import BinRel, compose
 from .terms import eval_term, is_regular, parse_term, term_variables
 
 __all__ = ["run", "main"]
@@ -67,18 +68,7 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
 def _cmd_check(args) -> int:
     doc = _load_document(args.file)
     rel_name, rel = _pick_relation(doc, args.rel)
-    shape = classify_shape(rel)
-    kind = classify_relation(doc.algebra, rel)
-    flags = {
-        "reflexive": shape.reflexive,
-        "symmetric": shape.symmetric,
-        "transitive": shape.transitive,
-        # document relations are reflexive, so compatible means admissible
-        "compatible": kind.admissible,
-        "admissible": kind.admissible,
-        "tolerance": kind.tolerance,
-        "congruence": kind.congruence,
-    }
+    flags = dataclasses.asdict(classify_relation(doc.algebra, rel))
     payload = {"command": "check", "algebra": doc.name, "size": doc.algebra.n,
                "relation": rel_name, **flags}
     lines = [f"relation {rel_name} on algebra {doc.name} (size {doc.algebra.n})"]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, Optional
 
-from .algebras import Algebra, _grow, classify_relation, is_compatible
+from .algebras import Algebra, _grow, _require_tolerance, is_compatible
 from .errors import BudgetExceeded
 from .relations import BinRel, _bits, compose, converse, intersect, subset, union
 
@@ -68,13 +68,11 @@ class PermutabilityReport:
     counterexample: Optional[tuple[BinRel, BinRel, tuple[int, int]]] = None
 
 
-def _require_tolerance(algebra: Algebra, theta: BinRel) -> None:
-    kind = classify_relation(algebra, theta)
-    if not kind.tolerance:
-        raise ValueError(
-            "relation is not a tolerance of the algebra "
-            "(needs reflexivity, symmetry and compatibility)"
-        )
+def _composite(algebra: Algebra, rel: BinRel) -> Optional[BinRel]:
+    """R∘R⁻ when rel is a reflexive compatible relation on the algebra's universe, else None."""
+    if rel.n != algebra.n or not all(row >> a & 1 for a, row in enumerate(rel.rows)):
+        return None
+    return compose(rel, converse(rel)) if is_compatible(algebra, rel) else None
 
 
 def _budget(limit: int, what: str):
@@ -188,22 +186,14 @@ def exhaustive_representation(algebra: Algebra, theta: BinRel) -> Optional[RepWi
             rows[a] |= 1 << b
             m ^= low
         rel = BinRel(n, rows)
-        if not is_compatible(algebra, rel):
-            continue
-        if compose(rel, converse(rel)) == theta:
+        if _composite(algebra, rel) == theta:
             return RepWitness(rel)
     return None
 
 
 def verify_representation(algebra: Algebra, theta: BinRel, rel: BinRel) -> bool:
     """Re-check a claimed witness from scratch."""
-    shape_ok = all(rel.rows[a] >> a & 1 for a in range(rel.n))
-    return (
-        rel.n == algebra.n
-        and shape_ok
-        and is_compatible(algebra, rel)
-        and compose(rel, converse(rel)) == theta
-    )
+    return _composite(algebra, rel) == theta
 
 
 def represent_via_order(algebra: Algebra, join: str, meet: str, theta: BinRel) -> RepWitness:
@@ -252,7 +242,7 @@ def represent_via_order(algebra: Algebra, join: str, meet: str, theta: BinRel) -
         raise ValueError("the semilattice order induced by join is not compatible")
     _require_tolerance(algebra, theta)
     rel = intersect(theta, leq)
-    if compose(rel, converse(rel)) != theta:
+    if _composite(algebra, rel) != theta:
         # unreachable when the preconditions above hold
         raise ValueError("theta ∩ ≤ failed to reproduce theta; preconditions violated")
     return RepWitness(rel)
@@ -322,22 +312,16 @@ def find_weak_representation(
 def verify_weak_representation(algebra: Algebra, theta: BinRel, witness: WeakRepWitness) -> bool:
     """Re-check a claimed separator family from scratch."""
     n = algebra.n
+    if theta.n != n:
+        return False
     excluded = {(a, b) for a in range(n) for b in range(n)
                 if a != b and not theta.rows[a] >> b & 1}
     if set(witness.separators) != excluded:
         return False
     meet_rows = [(1 << n) - 1] * n
     for (a, b), rel in witness.separators.items():
-        if rel.n != n:
-            return False
-        if not all(rel.rows[x] >> x & 1 for x in range(n)):
-            return False
-        if not is_compatible(algebra, rel):
-            return False
-        composite = compose(rel, converse(rel))
-        if not subset(theta, composite):
-            return False
-        if composite.rows[a] >> b & 1:
+        composite = _composite(algebra, rel)
+        if composite is None or not subset(theta, composite) or composite.rows[a] >> b & 1:
             return False
         meet_rows = [x & y for x, y in zip(meet_rows, composite.rows)]
     return BinRel(n, meet_rows) == theta

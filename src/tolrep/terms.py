@@ -8,11 +8,12 @@ Grammar (left associative, composition binds tighter):
 
 The bare identifier ``o`` is the composition operator, so it cannot name a
 variable; the unicode aliases ``∘`` and ``∩`` are accepted on input.  A
-term also has a two-terminal series-parallel graph: a variable is a single
-labeled edge, composition glues the right graph's source onto the left
-graph's sink, and intersection merges both sources and both sinks.  A term
-is regular when no vertex of that graph meets two distinct edges carrying
-the same label.
+term also has a two-terminal series-parallel graph, built top-down between
+a source and a sink: a variable is one labeled edge between them,
+composition puts a new middle vertex between its two sides, and
+intersection builds both sides between the same two terminals.  A term is
+regular when no vertex of that graph meets two distinct edges carrying the
+same label.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .algebras import Algebra, classify_relation
+from .algebras import Algebra, _require_tolerance
 from .errors import DimensionError, TermSyntaxError
 from .relations import BinRel, compose, intersect, subset
 
@@ -191,46 +192,34 @@ class TermGraph:
 
 
 def term_graph(term: RelTerm) -> TermGraph:
-    parent: list[int] = []
+    """The term's graph, built top-down: each subterm between the two terminals it is given.
+
+    Vertices are renumbered by first appearance along the edges, which
+    follow the variable occurrences from left to right.
+    """
     edges: list[tuple[int, int, str]] = []
+    vertices = 2  # 0 and 1 are the source and the sink
 
-    def fresh():
-        parent.append(len(parent))
-        return len(parent) - 1
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def merge(x, y):
-        parent[find(x)] = find(y)
-
-    def build(t):
+    def build(t, source, sink):
+        nonlocal vertices
         if isinstance(t, Var):
-            s, k = fresh(), fresh()
-            edges.append((s, k, t.name))
-            return s, k
-        ls, lk = build(t.left)
-        rs, rk = build(t.right)
-        if isinstance(t, Compose):
-            merge(lk, rs)
-            return ls, rk
-        merge(ls, rs)
-        merge(lk, rk)
-        return ls, lk
+            edges.append((source, sink, t.name))
+        elif isinstance(t, Compose):
+            middle = vertices
+            vertices += 1
+            build(t.left, source, middle)
+            build(t.right, middle, sink)
+        else:
+            build(t.left, source, sink)
+            build(t.right, source, sink)
 
-    source, sink = build(term)
+    build(term, 0, 1)
     index: dict[int, int] = {}
-    out = []
-    for u, v, label in edges:
-        ru, rv = find(u), find(v)
-        for r in (ru, rv):
-            if r not in index:
-                index[r] = len(index)
-        out.append((index[ru], index[rv], label))
-    return TermGraph(len(index), tuple(out), index[find(source)], index[find(sink)])
+    for u, v, _label in edges:
+        index.setdefault(u, len(index))
+        index.setdefault(v, len(index))
+    out = tuple((index[u], index[v], label) for u, v, label in edges)
+    return TermGraph(len(index), out, index[0], index[1])
 
 
 def is_regular(term: RelTerm) -> bool:
@@ -272,7 +261,6 @@ def check_identity_iv(algebra: Algebra, p: RelTerm, q: RelTerm, env: dict[str, B
     both sides.
     """
     for name, rel in env.items():
-        if not classify_relation(algebra, rel).tolerance:
-            raise ValueError(f"binding {name!r} is not a tolerance of the algebra")
+        _require_tolerance(algebra, rel, f"binding {name!r}")
     squared = {name: compose(rel, rel) for name, rel in env.items()}
     return subset(eval_term(p, squared), eval_term(q, squared))

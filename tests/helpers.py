@@ -12,7 +12,7 @@ import tolrep
 from tolrep import Algebra, BinRel, BudgetExceeded, OperationTable, closure, compose, converse, subset
 from tolrep.algebras import _grow
 from tolrep.decide import WeakRepWitness, _congruence_close
-from tolrep.terms import Compose, Intersect, Var
+from tolrep.terms import Compose, Intersect, TermGraph, Var
 
 
 @st.composite
@@ -157,6 +157,56 @@ def eval_oracle(term, env_sets: dict) -> set:
     if isinstance(term, Compose):
         return {(a, b) for a, c in left for c2, b in right if c == c2}
     return left & right
+
+
+def term_graph_oracle(term) -> TermGraph:
+    """The term graph built bottom-up, gluing terminals with a union-find.
+
+    A variable is an edge between two fresh vertices; composition merges
+    the left sink with the right source, and intersection merges both
+    sources and both sinks.  Vertices are numbered by first appearance
+    along the edges.  Independent of term_graph's top-down construction.
+    """
+    parent: list[int] = []
+    edges: list[tuple[int, int, str]] = []
+
+    def fresh():
+        parent.append(len(parent))
+        return len(parent) - 1
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def merge(x, y):
+        parent[find(x)] = find(y)
+
+    def build(t):
+        if isinstance(t, Var):
+            s, k = fresh(), fresh()
+            edges.append((s, k, t.name))
+            return s, k
+        ls, lk = build(t.left)
+        rs, rk = build(t.right)
+        if isinstance(t, Compose):
+            merge(lk, rs)
+            return ls, rk
+        merge(ls, rs)
+        merge(lk, rk)
+        return ls, lk
+
+    source, sink = build(term)
+    index: dict[int, int] = {}
+    out = []
+    for u, v, label in edges:
+        ru, rv = find(u), find(v)
+        for r in (ru, rv):
+            if r not in index:
+                index[r] = len(index)
+        out.append((index[ru], index[rv], label))
+    return TermGraph(len(index), tuple(out), index[find(source)], index[find(sink)])
 
 
 def admissible_bfs_oracle(algebra: Algebra):

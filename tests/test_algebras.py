@@ -1,4 +1,5 @@
 import pickle
+from dataclasses import fields
 from itertools import product
 
 import pytest
@@ -16,7 +17,9 @@ from helpers import (
 from tolrep import (
     Algebra,
     BinRel,
+    DimensionError,
     OperationTable,
+    RelationClass,
     classify_relation,
     classify_shape,
     closure,
@@ -299,6 +302,22 @@ class TestClassifyRelation:
         assert kind.admissible == (shape.reflexive and compat)
         assert kind.tolerance == (kind.admissible and shape.symmetric)
         assert kind.congruence == (kind.tolerance and shape.transitive)
+        assert (kind.reflexive, kind.symmetric, kind.transitive) == (
+            shape.reflexive, shape.symmetric, shape.transitive)
+        assert kind.compatible == compat
+
+    def test_flags_in_check_order(self):
+        assert [f.name for f in fields(RelationClass)] == [
+            "reflexive", "symmetric", "transitive", "compatible", "admissible", "tolerance",
+            "congruence"]
+
+    def test_compatible_without_reflexive(self):
+        kind = classify_relation(two_chain(), BinRel.empty(2))
+        assert kind.compatible and not kind.reflexive and not kind.admissible
+
+    def test_size_mismatch(self):
+        with pytest.raises(DimensionError, match="relation lives on 3 elements, algebra on 2"):
+            classify_relation(two_chain(), BinRel.diagonal(3))
 
 
 class TestExpand:
@@ -329,8 +348,18 @@ class TestExpand:
         assert tables == [(a,) * 4 for a in range(4)]
 
     def test_requires_tolerance(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^relation is not a tolerance of the algebra"):
             expand(Algebra(3), BinRel.from_pairs(3, [(0, 1)], reflexive=True))
+
+    def test_skips_taken_names(self):
+        theta = BinRel.full(2)
+        clash = Algebra(2, (OperationTable("u0", 1, (0, 1)), OperationTable("u2", 1, (1, 0))))
+        plain = Algebra(2, (OperationTable("f", 1, (0, 1)), OperationTable("g", 1, (1, 0))))
+        names = [op.name for op in expand(clash, theta).ops]
+        assert names[:2] == ["u0", "u2"]
+        assert len(names) == len(set(names))
+        assert len(names) == len(expand(plain, theta).ops)
+        assert names[2:5] == ["u1", "u3", "u4"]
 
     def test_keeps_original_operations(self):
         alg = two_chain()

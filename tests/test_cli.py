@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from helpers import run_python
 from tolrep import (Algebra, BinRel, Document, DocumentError, corpus_get, parse_document,
-                    print_document)
+                    print_document, verify)
 from tolrep.cli import run
 
 
@@ -144,6 +144,19 @@ class TestCheckCommand:
         assert payload["command"] == "check"
         assert payload["tolerance"] is True
         assert payload["size"] == 2
+
+    def test_order_flags_in_order(self, tmp_path, capsys):
+        path = corpus_file(tmp_path, "n5")
+        assert run(["check", path, "--rel", "leq"]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "reflexive: yes", "symmetric: no", "transitive: yes", "compatible: yes",
+            "admissible: yes", "tolerance: no", "congruence: no"]
+        assert run(["check", path, "--rel", "leq", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert list(payload.items())[4:] == [
+            ("reflexive", True), ("symmetric", False), ("transitive", True),
+            ("compatible", True), ("admissible", True), ("tolerance", False),
+            ("congruence", False)]
 
     def test_unknown_relation(self, tmp_path, capsys):
         path = write(tmp_path, CHAIN2)
@@ -364,6 +377,42 @@ class TestCorpusCommand:
             entry = corpus_get(name)
             assert doc.algebra == entry.algebra
             assert doc.relations == dict(entry.relations)
+
+
+class TestVerifyPaperCommand:
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        @verify._check
+        def check_holds():
+            return "theta stays inside"
+
+        @verify._check
+        def check_breaks():
+            raise verify.CheckFailed("theta escaped")
+
+        def use(*bodies):
+            monkeypatch.setattr(verify, "CHECKS", bodies)
+
+        return use, check_holds, check_breaks
+
+    def test_reports_each_check(self, checks, capsys):
+        use, holds, breaks = checks
+        use(holds, breaks)
+        assert run(["verify-paper"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "PASS holds: theta stays inside", "FAIL breaks: theta escaped",
+            "1/2 checks passed"]
+        assert run(["verify-paper", "--json"]) == 1
+        assert json.loads(capsys.readouterr().out) == {
+            "command": "verify-paper", "all_passed": False,
+            "results": [{"name": "holds", "passed": True, "detail": "theta stays inside"},
+                        {"name": "breaks", "passed": False, "detail": "theta escaped"}]}
+
+    def test_all_passing(self, checks, capsys):
+        use, holds, _breaks = checks
+        use(holds)
+        assert run(["verify-paper"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "1/1 checks passed"
 
 
 class TestArgumentErrors:

@@ -386,6 +386,16 @@ class TestWeakRepresentation:
             }[corruption]
         assert not verify_weak_representation(alg, theta, type(witness)(separators))
 
+    @pytest.mark.parametrize("size", [3, 6])
+    def test_verifiers_reject_theta_of_other_size(self, size):
+        entry = corpus_get("five_set")
+        alg, theta = entry.algebra, entry.relations["theta"]
+        witness = find_weak_representation(alg, theta)
+        # the 6-point theta agrees with five_set's on the first five rows
+        other = BinRel.diagonal(3) if size == 3 else BinRel(6, theta.rows + (1 << 5,))
+        assert not verify_weak_representation(alg, other, witness)
+        assert not verify_representation(alg, other, witness.separators[(0, 4)])
+
     @pytest.mark.parametrize("name", ["s7_semilattice", "l7_majority"])
     def test_corpus_with_operations(self, name):
         entry = corpus_get(name)

@@ -2,12 +2,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import binrels_on, eval_oracle, terms
+from helpers import binrels_on, eval_oracle, term_graph_oracle, terms
 from tolrep import BinRel, DimensionError, TermSyntaxError, corpus_get
 from tolrep.terms import (
     MAX_TERM_DEPTH,
     Compose,
     Intersect,
+    TermGraph,
     Var,
     check_identity_iv,
     eval_term,
@@ -135,6 +136,14 @@ class TestTermGraph:
 
         assert len(term_graph(term).edges) == occurrences(term)
 
+    @given(terms)
+    def test_matches_bottom_up_oracle(self, term):
+        assert term_graph(term) == term_graph_oracle(term)
+
+    def test_numbered_by_first_appearance(self):
+        g = term_graph(parse_term("x o y & z o w"))
+        assert g == TermGraph(4, ((0, 1, "x"), (1, 2, "y"), (0, 3, "z"), (3, 2, "w")), 0, 2)
+
 
 class TestRegularity:
     def test_small_fixed_cases(self):
@@ -224,7 +233,7 @@ class TestIdentityCheck:
     def test_requires_tolerances(self):
         alg = corpus_get("five_set").algebra
         env = {"x": BinRel.from_pairs(5, [(0, 1)], reflexive=True)}
-        with pytest.raises(ValueError, match="tolerance"):
+        with pytest.raises(ValueError, match="binding 'x' is not a tolerance"):
             check_identity_iv(alg, parse_term("x"), parse_term("x"), env)
 
     def test_reflexive_identity_holds(self):
