@@ -1,7 +1,10 @@
 """Command line front end over algebra documents.
 
 Each command reads one document (see `tolrep.document` for the format),
-except `term-regular`, `corpus` and `verify-paper`.
+except `term-regular`, `corpus` and `verify-paper`.  `run` loads it and,
+for a command with --rel, picks the relation, then calls the command's
+handler; each handler ends in `_emit`, which prints text lines or a JSON
+payload led by the command name and returns the exit code.
 
 Exit codes: 0 when the queried property holds (or the command just
 reports), 1 when it fails, 2 for usage or format errors, 3 when a search
@@ -57,80 +60,64 @@ def _pick_relation(doc: Document, name: str | None) -> tuple[str, BinRel]:
     return name, doc.relations[name]
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
+def _emit(args, payload: dict, lines: list[str], code: int = 0) -> int:
+    """Print payload as JSON, led by the command name, or lines as text; return code."""
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(json.dumps({"command": args.command, **payload}, indent=2))
     else:
-        for line in text_lines:
+        for line in lines:
             print(line)
+    return code
 
 
-def _cmd_check(args) -> int:
-    doc = _load_document(args.file)
-    rel_name, rel = _pick_relation(doc, args.rel)
+def _cmd_check(args, doc: Document, rel_name: str, rel: BinRel) -> int:
     flags = dataclasses.asdict(classify_relation(doc.algebra, rel))
-    payload = {"command": "check", "algebra": doc.name, "size": doc.algebra.n,
-               "relation": rel_name, **flags}
     lines = [f"relation {rel_name} on algebra {doc.name} (size {doc.algebra.n})"]
     lines += [f"{key}: {'yes' if value else 'no'}" for key, value in flags.items()]
-    _emit(args, payload, lines)
-    return 0
+    return _emit(args, {"algebra": doc.name, "size": doc.algebra.n, "relation": rel_name,
+                        **flags}, lines)
 
 
-def _cmd_represent(args) -> int:
-    doc = _load_document(args.file)
-    rel_name, rel = _pick_relation(doc, args.rel)
+def _cmd_represent(args, doc: Document, rel_name: str, rel: BinRel) -> int:
     witness = decide.find_representation(doc.algebra, rel, node_budget=args.node_budget)
     if witness is None:
-        _emit(args, {"command": "represent", "relation": rel_name,
-                     "representable": False, "witness": None},
-              [f"{rel_name} is not representable"])
-        return 1
+        return _emit(args, {"relation": rel_name, "representable": False, "witness": None},
+                     [f"{rel_name} is not representable"], 1)
     lines = [f"{rel_name} is representable"]
     if args.witness:
         lines.append(_rel_block("witness", witness.rel))
-    _emit(args, {"command": "represent", "relation": rel_name,
-                 "representable": True, "witness": _rel_json(witness.rel)}, lines)
-    return 0
+    return _emit(args, {"relation": rel_name, "representable": True,
+                        "witness": _rel_json(witness.rel)}, lines)
 
 
-def _cmd_weak_represent(args) -> int:
-    doc = _load_document(args.file)
-    rel_name, rel = _pick_relation(doc, args.rel)
+def _cmd_weak_represent(args, doc: Document, rel_name: str, rel: BinRel) -> int:
     witness = decide.find_weak_representation(doc.algebra, rel, rel_budget=args.rel_budget)
     if witness is None:
-        _emit(args, {"command": "weak-represent", "relation": rel_name,
-                     "weakly_representable": False, "separators": None},
-              [f"{rel_name} is not weakly representable"])
-        return 1
+        return _emit(args, {"relation": rel_name, "weakly_representable": False,
+                            "separators": None},
+                     [f"{rel_name} is not weakly representable"], 1)
     lines = [f"{rel_name} is weakly representable ({len(witness.separators)} separators)"]
     if args.witness:
         for (a, b), sep in witness.separators.items():
             lines.append(_rel_block(f"sep_{a}_{b}", sep))
-    payload = {"command": "weak-represent", "relation": rel_name,
-               "weakly_representable": True,
-               "separators": [{"pair": [a, b], "rel": _rel_json(sep)}
-                              for (a, b), sep in witness.separators.items()]}
-    _emit(args, payload, lines)
-    return 0
+    return _emit(args, {"relation": rel_name, "weakly_representable": True,
+                        "separators": [{"pair": [a, b], "rel": _rel_json(sep)}
+                                       for (a, b), sep in witness.separators.items()]},
+                 lines)
 
 
-def _cmd_expand(args) -> int:
-    doc = _load_document(args.file)
-    rel_name, rel = _pick_relation(doc, args.rel)
+def _cmd_expand(args, doc: Document, rel_name: str, rel: BinRel) -> int:
     bigger = expand(doc.algebra, rel)
     out = Document(f"{doc.name}_plus", bigger, dict(doc.relations))
     text = print_document(out)
     with open(args.output, "w", encoding="utf-8") as handle:
         handle.write(text)
-    _emit(args, {"command": "expand", "relation": rel_name, "output": args.output,
-                 "operations": len(bigger.ops)},
-          [f"wrote {out.name} with {len(bigger.ops)} operations to {args.output}"])
-    return 0
+    return _emit(args, {"relation": rel_name, "output": args.output,
+                        "operations": len(bigger.ops)},
+                 [f"wrote {out.name} with {len(bigger.ops)} operations to {args.output}"])
 
 
-def _cmd_enumerate(args) -> int:
-    doc = _load_document(args.file)
+def _cmd_enumerate(args, doc: Document) -> int:
     truncated = False
     if args.kind == "admissible":
         result = decide.enumerate_admissible(doc.algebra, limit=args.limit)
@@ -143,36 +130,30 @@ def _cmd_enumerate(args) -> int:
     lines = [f"{args.kind} of {doc.name}: {len(rels)}"
              + (" (truncated)" if truncated else "")]
     lines += [f"{i}: {_pairs_text(rel)}" for i, rel in enumerate(rels)]
-    payload = {"command": "enumerate", "kind": args.kind, "count": len(rels),
-               "truncated": truncated, "relations": [_rel_json(r) for r in rels]}
-    _emit(args, payload, lines)
-    return 0
+    return _emit(args, {"kind": args.kind, "count": len(rels), "truncated": truncated,
+                        "relations": [_rel_json(r) for r in rels]}, lines)
 
 
-def _cmd_permutable(args) -> int:
-    doc = _load_document(args.file)
+def _cmd_permutable(args, doc: Document) -> int:
     report = decide.check_permutability(doc.algebra, limit=args.rel_budget)
     count = report.congruence_count
     if report.permutable:
-        _emit(args, {"command": "permutable", "permutable": True,
-                     "congruence_count": count, "counterexample": None},
-              [f"congruences permute ({count} congruences)"])
-        return 0
+        return _emit(args, {"permutable": True, "congruence_count": count,
+                            "counterexample": None},
+                     [f"congruences permute ({count} congruences)"])
     alpha, beta, (a, b) = report.counterexample
-    payload = {"command": "permutable", "permutable": False, "congruence_count": count,
+    payload = {"permutable": False, "congruence_count": count,
                "counterexample": {"alpha": _rel_json(alpha), "beta": _rel_json(beta),
                                   "pair": [a, b]}}
-    _emit(args, payload, [
+    return _emit(args, payload, [
         "congruences do not permute",
         f"alpha: {_pairs_text(alpha)}",
         f"beta: {_pairs_text(beta)}",
         f"pair {a} {b} lies in alpha o beta but not in beta o alpha",
-    ])
-    return 1
+    ], 1)
 
 
-def _cmd_term_eval(args) -> int:
-    doc = _load_document(args.file)
+def _cmd_term_eval(args, doc: Document) -> int:
     term = parse_term(args.term)
     env = {}
     for binding in args.bind or []:
@@ -186,18 +167,15 @@ def _cmd_term_eval(args) -> int:
     if args.square:
         env = {name: compose(rel, rel) for name, rel in env.items()}
     result = eval_term(term, env)
-    _emit(args, {"command": "term-eval", "term": args.term, "squared": bool(args.square),
-                 "result": _rel_json(result)},
-          [f"term: {args.term}", _rel_block("result", result)])
-    return 0
+    return _emit(args, {"term": args.term, "squared": bool(args.square),
+                        "result": _rel_json(result)},
+                 [f"term: {args.term}", _rel_block("result", result)])
 
 
 def _cmd_term_regular(args) -> int:
-    term = parse_term(args.term)
-    regular = is_regular(term)
-    _emit(args, {"command": "term-regular", "term": args.term, "regular": regular},
-          ["regular" if regular else "not regular"])
-    return 0 if regular else 1
+    regular = is_regular(parse_term(args.term))
+    return _emit(args, {"term": args.term, "regular": regular},
+                 ["regular" if regular else "not regular"], 0 if regular else 1)
 
 
 def _cmd_corpus(args) -> int:
@@ -205,28 +183,20 @@ def _cmd_corpus(args) -> int:
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)
-        _emit(args, {"command": "corpus", "name": args.name, "output": args.output},
-              [f"wrote {args.name} to {args.output}"])
-    else:
-        _emit(args, {"command": "corpus", "name": args.name, "document": text},
-              [text.rstrip("\n")])
-    return 0
+        return _emit(args, {"name": args.name, "output": args.output},
+                     [f"wrote {args.name} to {args.output}"])
+    return _emit(args, {"name": args.name, "document": text}, [text.rstrip("\n")])
 
 
 def _cmd_verify_paper(args) -> int:
     from . import verify
     results = verify.run_all()
-    lines = []
-    for res in results:
-        status = "PASS" if res.passed else "FAIL"
-        lines.append(f"{status} {res.name}: {res.detail}")
-    all_passed = all(res.passed for res in results)
+    lines = [f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}" for r in results]
     lines.append(f"{sum(r.passed for r in results)}/{len(results)} checks passed")
-    payload = {"command": "verify-paper", "all_passed": all_passed,
-               "results": [{"name": r.name, "passed": r.passed, "detail": r.detail}
-                           for r in results]}
-    _emit(args, payload, lines)
-    return 0 if all_passed else 1
+    all_passed = all(r.passed for r in results)
+    return _emit(args, {"all_passed": all_passed,
+                        "results": [{"name": r.name, "passed": r.passed, "detail": r.detail}
+                                    for r in results]}, lines, 0 if all_passed else 1)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -236,33 +206,31 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, file=True):
+    def common(p, file=True, rel=False):
         if file:
             p.add_argument("file", help="algebra document")
         p.add_argument("--json", action="store_true", help="structured output")
+        if rel:
+            p.add_argument("--rel", help="relation name (defaults to the only one)")
 
     p = sub.add_parser("check", help="classify a named relation")
-    common(p)
-    p.add_argument("--rel", help="relation name (defaults to the only one)")
+    common(p, rel=True)
     p.set_defaults(handler=_cmd_check)
 
     p = sub.add_parser("represent", help="decide theta = R o R-converse")
-    common(p)
-    p.add_argument("--rel", help="relation name (defaults to the only one)")
+    common(p, rel=True)
     p.add_argument("--witness", action="store_true", help="print the witness relation")
     p.add_argument("--node-budget", type=int, default=decide.DEFAULT_NODE_BUDGET)
     p.set_defaults(handler=_cmd_represent)
 
     p = sub.add_parser("weak-represent", help="decide theta as an intersection of composites")
-    common(p)
-    p.add_argument("--rel", help="relation name (defaults to the only one)")
+    common(p, rel=True)
     p.add_argument("--witness", action="store_true", help="print the separator family")
     p.add_argument("--rel-budget", type=int, default=decide.DEFAULT_REL_BUDGET)
     p.set_defaults(handler=_cmd_weak_represent)
 
     p = sub.add_parser("expand", help="adjoin all unary maps into theta-related pairs")
-    common(p)
-    p.add_argument("--rel", help="relation name (defaults to the only one)")
+    common(p, rel=True)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(handler=_cmd_expand)
 
@@ -312,7 +280,12 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.handler(args)
+        if not hasattr(args, "file"):
+            return args.handler(args)
+        doc = _load_document(args.file)
+        if not hasattr(args, "rel"):
+            return args.handler(args, doc)
+        return args.handler(args, doc, *_pick_relation(doc, args.rel))
     except BudgetExceeded as err:
         print(f"error: {err}", file=sys.stderr)
         return 3

@@ -53,10 +53,6 @@ def _lattice_ops(n: int, leq_pairs: set[tuple[int, int]]) -> tuple[OperationTabl
     return OperationTable("join", 2, tuple(join)), OperationTable("meet", 2, tuple(meet))
 
 
-def _leq_rel(n: int, leq_pairs: set[tuple[int, int]]) -> BinRel:
-    return BinRel.from_pairs(n, leq_pairs, reflexive=True)
-
-
 def five_set() -> Document:
     """Five-element set with no operations; a, b1, b2, b3, c are 0..4.
 
@@ -131,7 +127,7 @@ def m3() -> Document:
     return Document(
         "m3",
         Algebra(5, (join, meet)),
-        {"leq": _leq_rel(5, leq)},
+        {"leq": BinRel.from_pairs(5, leq, reflexive=True)},
         "diamond lattice M3 (bottom 0, atoms 1..3, top 4); every tolerance "
         "is representable through the order",
     )
@@ -144,7 +140,7 @@ def n5() -> Document:
     return Document(
         "n5",
         Algebra(5, (join, meet)),
-        {"leq": _leq_rel(5, leq)},
+        {"leq": BinRel.from_pairs(5, leq, reflexive=True)},
         "pentagon lattice N5 (0 < 1 < 3 < 4 and 0 < 2 < 4); every tolerance "
         "is representable through the order",
     )
@@ -160,7 +156,7 @@ def chain(k: int) -> Document:
     return Document(
         f"chain({k})",
         Algebra(k, (join, meet)),
-        {"leq": _leq_rel(k, leq)},
+        {"leq": BinRel.from_pairs(k, leq, reflexive=True)},
         f"{k}-element chain; every tolerance is representable through the order",
     )
 

@@ -77,6 +77,8 @@ def _composite(algebra: Algebra, rel: BinRel) -> Optional[BinRel]:
 
 def _budget(limit: int, what: str):
     """A countdown that raises BudgetExceeded once limit relations are spent."""
+    if limit < 0:
+        raise ValueError(f"{what} budget must not be negative, got {limit}")
     left = limit
 
     def spend():
@@ -358,7 +360,9 @@ def _join_closure(bottom: BinRel, pairs, join) -> Iterator[BinRel]:
 
 def _lattice(members: Iterator[BinRel], limit: int, what: str) -> list[BinRel]:
     """All members sorted by pair count then rows; BudgetExceeded past limit."""
-    items = list(islice(members, max(limit + 1, 0)))
+    if limit < 0:
+        raise ValueError(f"{what} limit must not be negative, got {limit}")
+    items = list(islice(members, limit + 1))
     if len(items) > limit:
         raise BudgetExceeded(f"{what} count passed the budget of {limit}")
     return sorted(items, key=lambda r: (r.pair_count(), r.rows))

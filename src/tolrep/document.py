@@ -57,7 +57,6 @@ def parse_document(text: str) -> Document:
     name = None
     n = None
     ops: list[OperationTable] = []
-    op_names: set[str] = set()
     pending: dict | None = None
     relations: dict[str, list[int]] = {}
     current_rel: str | None = None
@@ -127,9 +126,8 @@ def parse_document(text: str) -> Document:
             arity = _ints(tokens[2:3])
             if arity is None or arity[0] < 1:
                 fail(lineno, f"bad arity {tokens[2]!r}")
-            if tokens[1] in op_names:
+            if any(op.name == tokens[1] for op in ops):  # earlier tables are complete
                 fail(lineno, f"duplicate operation name {tokens[1]!r}")
-            op_names.add(tokens[1])
             pending = {"name": tokens[1], "arity": arity[0],
                        "want": n ** arity[0], "values": []}
             inline = _ints(tokens[3:])

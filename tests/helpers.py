@@ -132,13 +132,13 @@ def compatible_oracle(algebra: Algebra, rel: BinRel) -> bool:
                for op in algebra.ops for args in product(pairs, repeat=op.arity))
 
 
-def run_python(*args):
+def run_python(*args, stdout=subprocess.PIPE):
     """Run a fresh interpreter with args on this checkout's package."""
     src = os.path.dirname(os.path.dirname(tolrep.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, *args], env=env,
-                          capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, *args], env=env, stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=120)
 
 
 def compose_oracle(r: BinRel, s: BinRel) -> set:

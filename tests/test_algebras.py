@@ -59,6 +59,12 @@ class TestConstruction:
         with pytest.raises(ValueError):
             OperationTable.from_function("f", 0, 2, lambda: 0)
 
+    def test_rejects_empty_name_and_universe(self):
+        with pytest.raises(ValueError, match="name must be nonempty"):
+            OperationTable("", 1, (0, 1))
+        with pytest.raises(ValueError, match="universe size must be positive"):
+            Algebra(0)
+
     def test_op_lookup(self):
         alg = two_chain()
         assert alg.op("join").arity == 2
@@ -71,6 +77,8 @@ class TestConstruction:
         assert eval_op(alg, "join", (3, 3)) == 3
         with pytest.raises(ValueError):
             eval_op(alg, "join", (1,))
+        with pytest.raises(ValueError, match="argument 7 outside"):
+            eval_op(alg, "join", (1, 7))
 
 
 class TestClosure:

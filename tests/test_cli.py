@@ -415,6 +415,45 @@ class TestVerifyPaperCommand:
         assert capsys.readouterr().out.splitlines()[-1] == "1/1 checks passed"
 
 
+class TestJsonContract:
+    @pytest.mark.parametrize("argv", [
+        ["check", "{doc}"],
+        ["represent", "{doc}"],
+        ["weak-represent", "{doc}"],
+        ["expand", "{doc}", "-o", "{out}"],
+        ["enumerate", "{doc}", "--kind", "tolerances"],
+        ["permutable", "{doc}"],
+        ["term-eval", "{doc}", "--term", "theta o theta", "--bind", "theta=theta"],
+        ["term-regular", "--term", "x o y"],
+        ["corpus", "n5"],
+        ["verify-paper"],
+    ], ids=lambda argv: argv[0])
+    def test_payload_starts_with_command(self, tmp_path, capsys, argv):
+        paths = {"doc": write(tmp_path, CHAIN2), "out": str(tmp_path / "out.txt")}
+        assert run([arg.format(**paths) for arg in argv] + ["--json"]) in {0, 1}
+        payload = json.loads(capsys.readouterr().out)
+        assert next(iter(payload)) == "command"
+        assert payload["command"] == argv[0]
+
+
+class TestNegativeBudgets:
+    @pytest.mark.parametrize("argv", [
+        ["represent", "--node-budget", "-3"],
+        ["weak-represent", "--rel-budget", "-1"],
+        ["permutable", "--rel-budget", "-1"],
+        ["enumerate", "--kind", "admissible", "--limit", "-1"],
+        ["enumerate", "--kind", "tolerances", "--limit", "-1"],
+        ["enumerate", "--kind", "congruences", "--limit", "-1"],
+    ], ids=["represent", "weak-represent", "permutable", "admissible", "tolerances",
+            "congruences"])
+    def test_usage_error(self, tmp_path, capsys, argv):
+        path = corpus_file(tmp_path, "five_set")
+        assert run([argv[0], path, *argv[1:]]) == 2
+        err = capsys.readouterr().err
+        assert "exhausted" not in err
+        assert "negative" in err or "must be positive" in err
+
+
 class TestArgumentErrors:
     def test_no_command(self, capsys):
         assert run([]) == 2
@@ -535,6 +574,17 @@ class TestModuleEntryPoints:
         proc = run_python("-m", "tolrep", "corpus", "n5")
         assert proc.returncode == 0
         assert proc.stdout == want
+
+    def test_closed_pipe_exits_quietly(self):
+        # the reader is gone before anything is written
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = run_python("-m", "tolrep", "corpus", "n5", stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
 
     def test_cli_module_runs_and_reports_errors(self, tmp_path):
         path = write(tmp_path, "algebra bad\nsize 2\nop c 0\n")

@@ -14,6 +14,7 @@ from tolrep import (
     subset,
     verify_representation,
 )
+from tolrep.corpus import _lattice_ops
 
 
 class TestCatalogue:
@@ -40,6 +41,10 @@ class TestCatalogue:
             corpus_get("theta_ab(3,1,1)")
         with pytest.raises(ValueError):
             corpus_get("theta_ab(3,1,5)")
+        with pytest.raises(ValueError, match="at least two elements"):
+            corpus_get("theta_ab(1,0,0)")
+        with pytest.raises(ValueError, match="not a lattice"):
+            _lattice_ops(2, set())  # two incomparable elements have no join
 
 
 class TestFiveSet:

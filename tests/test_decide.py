@@ -474,6 +474,21 @@ class TestRelationsBuilt:
         assert (search(entry.algebra, theta, need) is not None) == answer
 
 
+class TestNegativeBudgets:
+    @pytest.mark.parametrize("call, message", [
+        (lambda alg, theta: find_representation(alg, theta, node_budget=-1), "node budget"),
+        (lambda alg, theta: find_weak_representation(alg, theta, rel_budget=-1),
+         "relation budget"),
+        (lambda alg, theta: enumerate_tolerances(alg, limit=-1), "tolerance limit"),
+        (lambda alg, theta: enumerate_congruences(alg, limit=-1), "congruence limit"),
+        (lambda alg, theta: check_permutability(alg, limit=-1), "congruence limit"),
+    ], ids=["represent", "weak", "tolerances", "congruences", "permutability"])
+    def test_is_a_value_error(self, call, message):
+        entry = corpus_get("five_set")
+        with pytest.raises(ValueError, match=f"^{message} must not be negative, got -1$"):
+            call(entry.algebra, entry.relations["theta"])
+
+
 class TestToleranceEnumeration:
     def test_no_ops_three(self):
         got = enumerate_tolerances(Algebra(3))

@@ -48,10 +48,13 @@ class TestConstruction:
         assert not r.has(0, 1)
         with pytest.raises(ValueError):
             r.has(2, 0)
+        with pytest.raises(ValueError, match="out of range"):
+            BinRel.from_pairs(2, [(0, 2)])
 
     def test_pairs_row_major(self):
         r = BinRel(3, [0b110, 0b001, 0])
         assert list(r.pairs()) == [(0, 1), (0, 2), (1, 0)]
+        assert repr(r) == "BinRel(3, pairs=[(0, 1), (0, 2), (1, 0)])"
 
 
 class TestOperations:
