@@ -47,6 +47,14 @@ def _load_document(path: str) -> Document:
         raise DocumentError(0, f"cannot read {path}: {err.strerror}") from None
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as err:
+        raise ValueError(f"cannot write {path}: {err.strerror}") from None
+
+
 def _pick_relation(doc: Document, name: str | None) -> tuple[str, BinRel]:
     known = ", ".join(doc.relations) or "(none)"
     if name is None:
@@ -109,9 +117,7 @@ def _cmd_weak_represent(args, doc: Document, rel_name: str, rel: BinRel) -> int:
 def _cmd_expand(args, doc: Document, rel_name: str, rel: BinRel) -> int:
     bigger = expand(doc.algebra, rel)
     out = Document(f"{doc.name}_plus", bigger, dict(doc.relations))
-    text = print_document(out)
-    with open(args.output, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    _write_text(args.output, print_document(out))
     return _emit(args, {"relation": rel_name, "output": args.output,
                         "operations": len(bigger.ops)},
                  [f"wrote {out.name} with {len(bigger.ops)} operations to {args.output}"])
@@ -181,8 +187,7 @@ def _cmd_term_regular(args) -> int:
 def _cmd_corpus(args) -> int:
     text = print_document(corpus_get(args.name))
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        _write_text(args.output, text)
         return _emit(args, {"name": args.name, "output": args.output},
                      [f"wrote {args.name} to {args.output}"])
     return _emit(args, {"name": args.name, "document": text}, [text.rstrip("\n")])

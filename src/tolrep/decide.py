@@ -149,6 +149,30 @@ def _cover_search(algebra: Algebra, cover: BinRel, allowed: BinRel, spend) -> Op
     return None
 
 
+def _certified(algebra: Algebra, theta: BinRel, search):
+    """search()'s result, raising as _require_tolerance does unless theta is a tolerance.
+
+    The searches assume theta has the algebra's size and is reflexive and
+    symmetric, so those are tested first, on theta's rows.  A witness
+    proves the rest, so compatibility, the |theta| ** arity scan, is left
+    to _require_tolerance, which runs only when search() finds no witness
+    or raises BudgetExceeded (checked before re-raising).  A non-tolerance
+    thus always gets the same error.
+    """
+    rows = theta.rows
+    if theta.n != algebra.n or not all(row >> a & 1 and all(rows[b] >> a & 1 for b in _bits(row))
+                                       for a, row in enumerate(rows)):
+        _require_tolerance(algebra, theta)  # always raises here
+    try:
+        found = search()
+    except BudgetExceeded:
+        _require_tolerance(algebra, theta)
+        raise
+    if found is None:
+        _require_tolerance(algebra, theta)
+    return found
+
+
 def find_representation(
     algebra: Algebra, theta: BinRel, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> Optional[RepWitness]:
@@ -159,9 +183,16 @@ def find_representation(
     may.  Any such R sits inside theta, since reflexivity puts R inside
     R∘R⁻.  Exceeding node_budget (relations built) raises BudgetExceeded
     rather than guessing.  The returned witness is canonical.
+
+    A witness proves theta is a tolerance, so the full check runs only
+    when none is found (see _certified): every R the search returns is a
+    _grow closure of the diagonal, so reflexive and compatible; R∘R⁻ of
+    such an R is reflexive, symmetric and compatible; and R is returned
+    only when R∘R⁻ = theta.  A negative node_budget is reported before
+    anything about theta.
     """
-    _require_tolerance(algebra, theta)
-    found = _cover_search(algebra, theta, theta, _budget(node_budget, "node"))
+    spend = _budget(node_budget, "node")
+    found = _certified(algebra, theta, lambda: _cover_search(algebra, theta, theta, spend))
     return RepWitness(found) if found is not None else None
 
 
@@ -291,11 +322,24 @@ def find_weak_representation(
     exactly when every search succeeds.  One rel_budget is shared by all
     the searches and counts every relation they build; exceeding it raises
     BudgetExceeded.
+
+    A family proves theta is a tolerance, so the full check runs only when
+    none is found (see _certified): each separator R is a _grow closure of
+    the diagonal, so reflexive and compatible, and R∘R⁻ is then a
+    tolerance; each composite contains theta and misses its keyed pair,
+    so together they meet in exactly theta, and an intersection of
+    tolerances is a tolerance (the empty family meets in the full
+    relation).  A negative rel_budget is reported before anything about
+    theta.
     """
-    _require_tolerance(algebra, theta)
+    spend = _budget(rel_budget, "relation")
+    return _certified(algebra, theta, lambda: _separators(algebra, theta, spend))
+
+
+def _separators(algebra: Algebra, theta: BinRel, spend) -> Optional[WeakRepWitness]:
+    """find_weak_representation's search, on a reflexive symmetric theta."""
     n = algebra.n
     full = (1 << n) - 1
-    spend = _budget(rel_budget, "relation")
     excluded = [(a, b) for a in range(n) for b in range(n)
                 if a != b and not theta.rows[a] >> b & 1]
     found = {}

@@ -37,6 +37,17 @@ rel theta
 """
 
 
+# theta = {0, 1}² ∪ Δ is reflexive and symmetric, but f maps (0, 1) to (1, 2)
+SHIFT = """\
+algebra shift
+size 3
+op f 1 1 2 2
+rel theta
+0 1
+1 0
+"""
+
+
 class TestDocumentParsing:
     def test_basic(self):
         doc = parse_document(CHAIN2)
@@ -217,6 +228,16 @@ class TestRepresentCommand:
         assert run(["represent", path, "--rel", "leq"]) == 2
 
 
+    @pytest.mark.parametrize("command", ["represent", "weak-represent"])
+    def test_incompatible_theta_rejected(self, tmp_path, capsys, command):
+        # reflexive and symmetric, so only the check after the search rejects it
+        assert run([command, write(tmp_path, SHIFT)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: relation is not a tolerance of the algebra "
+                                "(needs reflexivity, symmetry and compatibility)\n")
+
+
 class TestWeakRepresentCommand:
     def test_positive(self, tmp_path, capsys):
         path = corpus_file(tmp_path, "five_set")
@@ -255,6 +276,14 @@ class TestExpandCommand:
         assert doc.name == "five_set_plus"
         assert len(doc.algebra.ops) == 185
         assert doc.relations["theta"] == corpus_get("five_set").relations["theta"]
+
+    def test_unwritable_output(self, tmp_path, capsys):
+        path = corpus_file(tmp_path, "five_set")
+        out_path = str(tmp_path / "missing" / "plus.txt")
+        assert run(["expand", path, "--rel", "theta", "-o", out_path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write {out_path}: No such file or directory\n"
 
 
 class TestEnumerateCommand:
@@ -366,6 +395,13 @@ class TestCorpusCommand:
         doc = parse_document(open(out_path).read())
         assert doc.algebra.n == 3
 
+    def test_unwritable_output(self, tmp_path, capsys):
+        out_path = str(tmp_path / "missing" / "c.txt")
+        assert run(["corpus", "chain(3)", "-o", out_path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write {out_path}: No such file or directory\n"
+
     def test_unknown(self, capsys):
         assert run(["corpus", "mystery"]) == 2
         assert "unknown corpus entry" in capsys.readouterr().err
@@ -452,6 +488,15 @@ class TestNegativeBudgets:
         err = capsys.readouterr().err
         assert "exhausted" not in err
         assert "negative" in err or "must be positive" in err
+
+
+    @pytest.mark.parametrize("argv, message", [
+        (["represent", "--node-budget", "-1"], "node budget"),
+        (["weak-represent", "--rel-budget", "-1"], "relation budget"),
+    ], ids=["represent", "weak-represent"])
+    def test_reported_before_non_tolerance(self, tmp_path, capsys, argv, message):
+        assert run([argv[0], write(tmp_path, SHIFT), *argv[1:]]) == 2
+        assert capsys.readouterr().err == f"error: {message} must not be negative, got -1\n"
 
 
 class TestArgumentErrors:

@@ -18,6 +18,7 @@ from tolrep import (
     Algebra,
     BinRel,
     BudgetExceeded,
+    DimensionError,
     OperationTable,
     check_permutability,
     classify_relation,
@@ -474,6 +475,63 @@ class TestRelationsBuilt:
         assert (search(entry.algebra, theta, need) is not None) == answer
 
 
+NOT_A_TOLERANCE = ("^relation is not a tolerance of the algebra "
+                   r"\(needs reflexivity, symmetry and compatibility\)$")
+
+# reflexive and symmetric, but f maps (0, 1) to (1, 2); both searches run
+# out at budget 1 and find nothing at the default
+SHIFT = Algebra(3, (OperationTable("f", 1, (1, 2, 2)),))
+SHIFT_THETA = BinRel.from_pairs(3, [(0, 1)], reflexive=True, symmetric=True)
+
+
+class TestToleranceGate:
+    # Both searches test only size, reflexivity and symmetry up front, and
+    # leave compatibility to the full check when they find no witness.
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_rejects_exactly_the_non_tolerances(self, data):
+        alg = data.draw(algebras(max_arity=3))
+        n = alg.n
+        theta = data.draw(binrels_on(n, reflexive=True, symmetric=True))
+        if data.draw(st.integers(0, 3)) == 0:
+            a, b = data.draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))
+            theta = BinRel(n, [row ^ (a == x) << b for x, row in enumerate(theta.rows)])
+        tolerance = classify_relation(alg, theta).tolerance
+        for search, oracle, verify in (
+                (find_representation, exhaustive_representation,
+                 lambda w: verify_representation(alg, theta, w.rel)),
+                (find_weak_representation, weak_representation_oracle,
+                 lambda w: verify_weak_representation(alg, theta, w))):
+            for budget in (None, 1):
+                args = (alg, theta) if budget is None else (alg, theta, budget)
+                if not tolerance:
+                    with pytest.raises(ValueError, match=NOT_A_TOLERANCE):
+                        search(*args)
+                    continue
+                try:
+                    found = search(*args)
+                except BudgetExceeded:
+                    assert budget == 1
+                    continue
+                assert (found is None) == (oracle(alg, theta) is None)
+                assert found is None or verify(found)
+
+    @pytest.mark.parametrize("search", [find_representation, find_weak_representation])
+    def test_incompatible_theta_out_of_budget(self, search):
+        with pytest.raises(ValueError, match=NOT_A_TOLERANCE):
+            search(SHIFT, SHIFT_THETA, 1)
+
+    @pytest.mark.parametrize("search", [find_representation, find_weak_representation])
+    def test_wrong_size(self, search):
+        with pytest.raises(DimensionError, match="^relation lives on 4 elements, algebra on 3$"):
+            search(SHIFT, BinRel.diagonal(4))
+
+    def test_full_theta_certifies_itself(self):
+        # the empty family needs no relation built, so a budget of 0 decides
+        alg = corpus_get("l7_majority").algebra
+        assert find_weak_representation(alg, BinRel.full(7), 0).separators == {}
+
+
 class TestNegativeBudgets:
     @pytest.mark.parametrize("call, message", [
         (lambda alg, theta: find_representation(alg, theta, node_budget=-1), "node budget"),
@@ -487,6 +545,18 @@ class TestNegativeBudgets:
         entry = corpus_get("five_set")
         with pytest.raises(ValueError, match=f"^{message} must not be negative, got -1$"):
             call(entry.algebra, entry.relations["theta"])
+
+    # A negative budget is reported before anything about theta: its size,
+    # its shape or its compatibility.
+    @pytest.mark.parametrize("theta", [
+        SHIFT_THETA, BinRel.from_pairs(3, [(0, 1)], reflexive=True), BinRel.diagonal(4),
+    ], ids=["incompatible", "not symmetric", "wrong size"])
+    @pytest.mark.parametrize("search, message", [
+        (find_representation, "node budget"), (find_weak_representation, "relation budget"),
+    ], ids=["represent", "weak"])
+    def test_comes_before_theta(self, search, message, theta):
+        with pytest.raises(ValueError, match=f"^{message} must not be negative, got -1$"):
+            search(SHIFT, theta, -1)
 
 
 class TestToleranceEnumeration:
