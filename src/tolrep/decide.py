@@ -285,7 +285,11 @@ def iter_admissible(algebra: Algebra) -> Iterator[BinRel]:
     """All reflexive compatible relations, breadth-first from the diagonal.
 
     _join_closure over every off-diagonal pair, each join re-closing the
-    relation plus that pair.  Deterministic order, no duplicates.
+    relation plus that pair.  Each relation is joined only with the
+    principals after the one that first produced it; the joins skipped
+    would only rebuild listed relations, so the order is still that of a
+    breadth-first search over one-pair extensions.  Deterministic order, no
+    duplicates.
     """
     n = algebra.n
     pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
@@ -378,27 +382,49 @@ def _join_closure(bottom: BinRel, pairs, join) -> Iterator[BinRel]:
 
     join(rel, pair) is the least member holding rel and pair, so the
     principal member of a pair is join(bottom, pair).  Yields bottom, then
-    each distinct principal in pair order, then each new join of an earlier
-    item with a principal's first pair, as soon as it is found.  Every
-    member is the join of the principals inside it, so joining each item
-    with the principals whose pair it lacks reaches the whole lattice.  A
-    pair whose principal repeats an earlier one is absent from an item
-    exactly when the earlier pair is, so skipping it changes nothing.
+    each distinct principal p_0, p_1, ... in pair order, then each new join
+    of an earlier item with a principal's first pair, as soon as it is
+    found.  Every member is the join of the principals inside it, so
+    joining each item with the principals whose pair it lacks reaches the
+    whole lattice.  A pair whose principal repeats an earlier one is absent
+    from an item exactly when the earlier pair is, so skipping it changes
+    nothing.
+
+    Each item also keeps the index i of the principal whose join first
+    produced it (p_i itself gets i), and is joined only with the p_j with
+    j > i.  A skipped join would find nothing new: when X is processed,
+    join(X, p_j) is already in seen for every j < i, so skipping it changes
+    neither what is yielded nor seen.  By induction along the list, let X
+    be first found as join(Y, p_i), Y being bottom for a principal, and
+    take j < i with p_j not in X, so not in Y either.  Then
+    Z = join(Y, p_j) comes before X: it is p_j when Y is bottom; it was
+    found no later than step (Y, j), which comes before (Y, i), when j is
+    past Y's index; and it was in seen before Y was processed, by this
+    claim for Y, when j is below it.  So Z was processed before X, and
+    processing Z with p_i did one of three things.  It computed
+    join(Z, p_i), which equals join(X, p_j); or it skipped that join by
+    this same rule, so by the claim for Z the result was already in seen;
+    or it found p_i in Z, and then join(X, p_j) = Z.  This needs only that
+    join is the lattice join, commutative and associative, which holds for
+    admissible relations, tolerances and congruences alike.
     """
     principals = {}
     for pair in pairs:
         principals.setdefault(join(bottom, pair), pair)
-    items = [bottom, *principals]
-    seen = set(items)
-    yield from items
-    for item in islice(items, 1, None):  # also visits the items added below
+    firsts = list(principals.values())
+    items = [(rel, i) for i, rel in enumerate(principals)]
+    seen = {bottom, *principals}
+    yield bottom
+    yield from principals
+    for item, i in items:  # also visits the items added below
         rows = item.rows
-        for pair in principals.values():
+        for j in range(i + 1, len(firsts)):
+            pair = firsts[j]
             if not rows[pair[0]] >> pair[1] & 1:
                 rel = join(item, pair)
                 if rel not in seen:
                     seen.add(rel)
-                    items.append(rel)
+                    items.append((rel, j))
                     yield rel
 
 

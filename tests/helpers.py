@@ -4,14 +4,16 @@ import os
 import subprocess
 import sys
 from collections import deque
-from itertools import product
+from itertools import islice, product
 
 from hypothesis import strategies as st
 
 import tolrep
-from tolrep import Algebra, BinRel, BudgetExceeded, OperationTable, closure, compose, converse, subset
+from tolrep import (
+    Algebra, BinRel, BudgetExceeded, OperationTable, closure, compose, converse, subset, union,
+)
 from tolrep.algebras import _grow
-from tolrep.decide import WeakRepWitness, _congruence_close
+from tolrep.decide import WeakRepWitness, _congruence_close, _transitive_close
 from tolrep.terms import Compose, Intersect, TermGraph, Var
 
 
@@ -296,3 +298,47 @@ def join_closure_oracle(algebra: Algebra, kind: str, limit: int = 10**5) -> list
             add(close(_grow(algebra, items[i], items[pred].pairs(), symmetric=True)))
         i += 1
     return sorted(items, key=lambda r: (r.pair_count(), r.rows))
+
+
+def join_arguments(algebra: Algebra, kind: str):
+    """(bottom, pairs, join) as the enumeration of kind passes them to _join_closure.
+
+    kind is "admissible", "tolerance" or "congruence".
+    """
+    n = algebra.n
+    diag = BinRel.diagonal(n)
+    if kind == "admissible":
+        pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+        return diag, pairs, lambda r, pair: _grow(algebra, r, (pair,))
+    if kind == "tolerance":
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        return diag, pairs, lambda r, pair: _grow(algebra, r, (pair,), symmetric=True)
+    cg = {(a, b): _congruence_close(algebra, _grow(algebra, diag, ((a, b),), symmetric=True))
+          for a in range(n) for b in range(a + 1, n)}
+    return diag, cg, lambda r, pair: _transitive_close(union(r, cg[pair]))
+
+
+def join_every_principal_oracle(bottom: BinRel, pairs, join):
+    """_join_closure's sequence, joining every item with every principal.
+
+    Yields bottom, then each distinct principal join(bottom, pair) in pair
+    order, then each new join of an earlier item with a principal's first
+    pair whose pair the item lacks, as soon as it is found.  Unlike
+    _join_closure, it does not skip the principals before the one that
+    first produced an item, so it rebuilds many listed members.
+    """
+    principals = {}
+    for pair in pairs:
+        principals.setdefault(join(bottom, pair), pair)
+    items = [bottom, *principals]
+    seen = set(items)
+    yield from items
+    for item in islice(items, 1, None):  # also visits the items added below
+        rows = item.rows
+        for pair in principals.values():
+            if not rows[pair[0]] >> pair[1] & 1:
+                rel = join(item, pair)
+                if rel not in seen:
+                    seen.add(rel)
+                    items.append(rel)
+                    yield rel

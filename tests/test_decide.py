@@ -10,7 +10,9 @@ from helpers import (
     algebra_with_rel,
     algebras,
     binrels_on,
+    join_arguments,
     join_closure_oracle,
+    join_every_principal_oracle,
     run_python,
     weak_representation_oracle,
 )
@@ -41,7 +43,7 @@ from tolrep import (
     verify_representation,
     verify_weak_representation,
 )
-from tolrep.decide import iter_admissible
+from tolrep.decide import _join_closure, _lattice, iter_admissible
 
 
 def all_reflexive_symmetric(n):
@@ -647,6 +649,38 @@ class TestToleranceEnumeration:
 
     def test_expansion_congruences(self):
         assert len(enumerate_congruences(corpus_get("expand_five").algebra)) == 2
+
+
+class TestJoinClosure:
+    @settings(max_examples=60)
+    @given(algebras(max_n=4, max_arity=3),
+           st.sampled_from(["admissible", "tolerance", "congruence"]))
+    def test_matches_every_principal_oracle(self, alg, kind):
+        bottom, pairs, join = join_arguments(alg, kind)
+        expected = list(join_every_principal_oracle(bottom, pairs, join))
+        assert list(_join_closure(bottom, pairs, join)) == expected
+        count = len(expected)
+        with pytest.raises(BudgetExceeded):
+            _lattice(_join_closure(bottom, pairs, join), count - 1, kind)
+        assert (_lattice(_join_closure(bottom, pairs, join), count, kind)
+                == _lattice(iter(expected), count, kind))
+
+    @pytest.mark.parametrize("name, members, joins", [
+        ("five_set", 1024, 1023),
+        ("s7_semilattice", 40069, 40068),
+    ])
+    def test_every_tolerance_join_lists_a_new_member(self, name, members, joins):
+        # joining every item with every principal takes 5 120 and 330 120 joins
+        bottom, pairs, join = join_arguments(corpus_get(name).algebra, "tolerance")
+        calls = 0
+
+        def counted(rel, pair):
+            nonlocal calls
+            calls += 1
+            return join(rel, pair)
+
+        assert sum(1 for _ in _join_closure(bottom, pairs, counted)) == members
+        assert calls == joins
 
 
 class TestToleranceJoin:
