@@ -10,19 +10,24 @@ exactly when its code set is closed under those componentwise operations.
 The componentwise tables are built once per algebra into a kernel plan:
 for each code, the distinct images under all unary operations merged;
 for each binary operation, the row and the column of images of each code;
-and the flat tables of the operations of arity 3 or more.  The closure
-kernel is semi-naive (as in Datalog fixpoint evaluation): its code list is
-a FIFO worklist, and code i meets only codes[:i + 1], so each argument
-tuple is built once its last-added component is reached.  A whole row of
-images is picked and tested against the code set in one step.
+and for each operation of arity k >= 3, one table per argument position,
+which takes a code at that position and codes at all other positions but
+one to the row of images over that free position.  These rows are bytes
+slices of one flat image table.  The closure kernel is semi-naive (as in
+Datalog fixpoint evaluation): its code list is a FIFO worklist, and code i
+meets only codes[:i + 1], so each argument tuple is built once its
+last-added component is reached.  A whole row of images is picked and
+tested against the code set in one step; the rows of an operation of
+arity 3 or more are picked, tested and gathered in C, with no Python
+bytecode run per row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import islice, product
-from operator import itemgetter
+from itertools import chain, filterfalse, islice, product
+from operator import add, itemgetter
 from typing import Iterable, NamedTuple
 
 from .errors import DimensionError
@@ -130,17 +135,27 @@ class _Plan(NamedTuple):
     operations at once (unary is empty when there are none); binary holds
     (rows, cols) per binary operation, where rows[c][d] and cols[c][d] are
     the images of the argument tuples (c, d) and (d, c); higher holds
-    (arity, flat table) for every operation of arity 3 or more.
+    (arity, tables) for every operation of arity k >= 3, with one table per
+    argument position p.  tables[p][c] fixes code c at p and nests, in
+    position order, one level of m entries per position other than p and a
+    free position q (the last one, or the one before it when p is last);
+    its innermost entries are rows of the m image codes over q.
     """
 
     unary: tuple[tuple[int, ...], ...]
     binary: tuple[tuple[tuple, tuple], ...]
-    higher: tuple[tuple[int, tuple[int, ...]], ...]
+    higher: tuple[tuple[int, tuple], ...]
 
 
 @lru_cache(maxsize=None)
 def _square_tables(algebra: Algebra) -> _Plan:
-    """The kernel plan: componentwise tables on pair codes, grouped by arity."""
+    """The kernel plan: componentwise tables on pair codes, grouped by arity.
+
+    Rows of operations of arity 3 or more are bytes while the m = n * n
+    codes fit in a byte (n <= 16), and tuples beyond.  Such an operation's
+    plan holds m ** arity image codes, over 24 million for a ternary
+    operation at n = 17, so those plans are out of reach already.
+    """
     n = algebra.n
     m = n * n
     # Both scratch tables take m entries, so skip them when nothing reads them.
@@ -151,6 +166,9 @@ def _square_tables(algebra: Algebra) -> _Plan:
     higher = []
     for op in algebra.ops:
         tab = op.table
+        if op.arity > 2:
+            higher.append((op.arity, _position_tables(tab, op.arity, n, decomp)))
+            continue
         prefixes = [(0, 0)]
         for _ in range(op.arity):
             prefixes = [(ia * n + a, ib * n + b) for ia, ib in prefixes for a, b in decomp]
@@ -158,26 +176,69 @@ def _square_tables(algebra: Algebra) -> _Plan:
         if op.arity == 1:
             for c, v in enumerate(sq):
                 unary[c][v] = None
-        elif op.arity == 2:
+        else:
             rows = tuple(sq[c * m:(c + 1) * m] for c in range(m))
             binary.append((rows, tuple(sq[c::m] for c in range(m))))
-        else:
-            higher.append((op.arity, sq))
     return _Plan(tuple(tuple(images) for images in unary), tuple(binary), tuple(higher))
 
 
-def _saturate(plan, m, member, codes, start):
+def _position_tables(tab, arity, n, decomp):
+    """The per-position row tables of one operation of arity 3 or more.
+
+    The flat image table lists the image codes of all argument tuples of
+    codes in row-major order.  Its row for the leading codes (c_0, ...,
+    c_{k-2}) is built at once from the two n-entry blocks of tab that the
+    first and the second components of those codes select.  rows are its
+    slices over the last position; cols its strided slices over the
+    position before, for each code at the last one.
+    """
+    m = n * n
+    blocks = [tab[i:i + n] for i in range(0, len(tab), n)]
+    high = [[x * n for x in block for _ in range(n)] for block in blocks]
+    low = [block * n for block in blocks]
+    heads = [(0, 0)]
+    for _ in range(arity - 1):
+        heads = [(ia * n + a, ib * n + b) for ia, ib in heads for a, b in decomp]
+    image = bytes if m <= 256 else tuple
+    flat = image(chain.from_iterable(map(add, high[ia], low[ib]) for ia, ib in heads))
+    rows = [flat[i:i + m] for i in range(0, len(flat), m)]
+    cols = [flat[i + c:i + m * m:m] for i in range(0, len(flat), m * m) for c in range(m)]
+    tables = [_by_code(rows, m, arity, p) for p in range(arity - 1)]
+    return tuple(tables + [_by_code(cols, m, arity, arity - 2)])
+
+
+def _by_code(cells, m, arity, p):
+    """Group cells, indexed by arity - 1 codes in row-major order, by the code at p.
+
+    Entry c nests the cells whose code at p is c into arity - 2 levels of
+    m entries, by their other codes in order.
+    """
+    span = m ** (arity - 2 - p)
+    table = []
+    for c in range(m):
+        picked = list(chain.from_iterable(
+            cells[i:i + span] for i in range(c * span, len(cells), span * m)))
+        for _ in range(arity - 3):
+            picked = [tuple(picked[i:i + m]) for i in range(0, len(picked), m)]
+        table.append(tuple(picked))
+    return tuple(table)
+
+
+def _saturate(plan, member, codes, start):
     """Close the code list under the operations of the plan, semi-naively.
 
-    plan is the algebra's kernel plan and m = n * n the number of codes;
-    _grow is the only caller.  codes is its own FIFO worklist and
-    codes[:start] is already closed.  Code i is combined only with
-    codes[:i + 1], in every argument position, so an argument tuple is
-    built only once its last-added component is reached, and no tuple
-    inside the closed prefix is built.  member is the set of codes
-    present; a whole row of images is tested against it at once, and new
-    images are appended after each code.  Images of swapped tuples are the
-    swapped images, so a symmetric start closes to a symmetric list.
+    plan is the algebra's kernel plan; _grow is the only caller.  codes is
+    its own FIFO worklist and codes[:start] is already closed.  Code i is
+    combined only with codes[:i + 1], in every argument position, so an
+    argument tuple is built only once its last-added component is reached,
+    and no tuple inside the closed prefix is built.  member is the set of
+    codes present; a whole row of images is picked and tested against it
+    at once.  For an operation of arity k >= 3, the table of each position
+    is entered at code i and picked at codes[:i + 1] through its k - 2
+    levels down to rows, which are then picked, tested and gathered
+    without a Python loop per row.  New images are appended after each
+    code.  Images of swapped tuples are the swapped images, so a
+    symmetric start closes to a symmetric list.
     """
     unary, binary, higher = plan
     covered = member.issuperset
@@ -188,14 +249,17 @@ def _saturate(plan, m, member, codes, start):
         if unary and not covered(unary[c]):
             found += unary[c]
         if binary or higher:
-            upto = codes[:i + 1]
-            pick = _picker(upto)
+            pick = _picker(codes[:i + 1])
             for rows, cols in binary:
                 for images in (pick(rows[c]), pick(cols[c])):
                     if not covered(images):
                         found += images
-            for arity, sq in higher:
-                found += _combine(sq, arity, m, c, upto, pick, covered)
+            for arity, tables in higher:
+                for by_code in tables:
+                    rows = pick(by_code[c])
+                    for _ in range(arity - 3):
+                        rows = chain.from_iterable(map(pick, rows))
+                    found += chain.from_iterable(filterfalse(covered, map(pick, rows)))
         for v in found:
             if v not in member:
                 member.add(v)
@@ -211,29 +275,6 @@ def _picker(idx):
         j = idx[0]
         return lambda seq: (seq[j],)
     return itemgetter(*idx)
-
-
-def _combine(sq, arity, m, c, upto, pick, covered):
-    """Images of the tuples over upto with c at some position p.
-
-    Rows whose images are all present are dropped; the rest are returned
-    whole.  The last position q other than p is read as one strided slice
-    of the flat table, picked at upto.
-    """
-    out = []
-    for p in range(arity):
-        q = arity - 1 if p < arity - 1 else arity - 2
-        bases = [0]
-        for j in range(arity):
-            if j != q:
-                weight = m ** (arity - 1 - j)
-                bases = [b + x * weight for b in bases for x in ((c,) if j == p else upto)]
-        stride = m ** (arity - 1 - q)
-        for base in bases:
-            images = pick(sq[base:base + stride * m:stride])
-            if not covered(images):
-                out += images
-    return out
 
 
 def closure(algebra: Algebra, seed: Iterable[tuple[int, int]], mode: str) -> BinRel:
@@ -296,7 +337,7 @@ def _grow(algebra: Algebra, rel: BinRel, extra: Iterable[tuple[int, int]], symme
                 codes.append(code)
     if len(codes) == start:
         return rel
-    _saturate(plan, n * n, member, codes, start)
+    _saturate(plan, member, codes, start)
     rows = list(rel.rows)
     for code in islice(codes, start, None):
         rows[code // n] |= 1 << (code % n)
@@ -309,12 +350,13 @@ def is_compatible(algebra: Algebra, rel: BinRel) -> bool:
     Checks every tuple of related argument pairs directly, a row of
     images at a time through the kernel plan, and stops at the first row
     that leaves the relation.  That costs |rel| ** arity table lookups per
-    operation, fine through arity 3 at this package's universe sizes and
-    steep beyond.
+    operation.  For arity 3 or more the rows come from position 0's row
+    tables and are picked and tested in C, so those lookups run without
+    Python bytecode per row: fine through arity 3 at this package's
+    universe sizes, and steep beyond.
     """
     if rel.n != algebra.n:
         raise DimensionError(f"relation lives on {rel.n} elements, algebra on {algebra.n}")
-    m = algebra.n ** 2
     codes = _codes(rel)
     member = set(codes)
     covered = member.issuperset
@@ -325,11 +367,11 @@ def is_compatible(algebra: Algebra, rel: BinRel) -> bool:
     for rows, _cols in binary:
         if not all(covered(pick(rows[c])) for c in codes):
             return False
-    for arity, sq in higher:
-        bases = [0]
-        for _ in range(arity - 1):
-            bases = [(b + c) * m for b in bases for c in codes]
-        if not all(covered(pick(sq[base:base + m])) for base in bases):
+    for arity, tables in higher:
+        rows = pick(tables[0])
+        for _ in range(arity - 2):
+            rows = chain.from_iterable(map(pick, rows))
+        if not all(map(covered, map(pick, rows))):
             return False
     return True
 

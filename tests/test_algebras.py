@@ -281,6 +281,29 @@ class TestKernelPlan:
         loaded = pickle.loads(pickle.dumps(alg))
         assert loaded == alg and hash(loaded) == hash(two_chain())
 
+    @settings(max_examples=30)
+    @given(algebras(max_n=4, max_arity=4))
+    def test_row_tables_hold_componentwise_images(self, alg):
+        # tables[p][c] nests over the positions other than p and q, in
+        # order, down to rows over q: the last position, or the one before
+        # it when p is last.
+        n, m = alg.n, alg.n ** 2
+        higher = [op for op in alg.ops if op.arity > 2]
+        assert [arity for arity, _ in _square_tables(alg).higher] == [op.arity for op in higher]
+        for op, (arity, tables) in zip(higher, _square_tables(alg).higher):
+            assert len(tables) == arity
+            value = {args: eval_op(alg, op.name, args) for args in product(range(n), repeat=arity)}
+            for codes in product(range(m), repeat=arity):
+                want = (value[tuple(c // n for c in codes)] * n
+                        + value[tuple(c % n for c in codes)])
+                for p, by_code in enumerate(tables):
+                    q = arity - 1 if p < arity - 1 else arity - 2
+                    entry = by_code
+                    for j in [p] + [j for j in range(arity) if j not in (p, q)] + [q]:
+                        assert len(entry) == m
+                        entry = entry[codes[j]]
+                    assert entry == want
+
     def test_unary_images_are_merged(self):
         plus = expand(corpus_get("five_set").algebra, corpus_get("five_set").relations["theta"])
         unary = _square_tables(plus).unary
