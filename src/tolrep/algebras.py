@@ -9,24 +9,27 @@ exactly when its code set is closed under those componentwise operations.
 
 The componentwise tables are built once per algebra into a kernel plan:
 for each code, the distinct images under all unary operations merged;
-for each binary operation, the row and the column of images of each code;
-and for each operation of arity k >= 3, one table per argument position,
-which takes a code at that position and codes at all other positions but
-one to the row of images over that free position.  These rows are bytes
-slices of one flat image table.  The closure kernel is semi-naive (as in
-Datalog fixpoint evaluation): its code list is a FIFO worklist, and code i
-meets only codes[:i + 1], so each argument tuple is built once its
-last-added component is reached.  A whole row of images is picked and
-tested against the code set in one step; the rows of an operation of
-arity 3 or more are picked, tested and gathered in C, with no Python
-bytecode run per row.
+for each binary operation, the row and, unless the operation is
+commutative, the column of images of each code; and for each operation of
+arity k >= 3, one table per kept argument position, which takes a code at
+that position and codes at all other positions but one to the row of
+images over that free position.  These rows are bytes slices of one flat
+image table.  A position is kept unless a permutation of the arguments
+that leaves the operation unchanged sends it to an earlier position: its
+images would repeat that position's.  The closure kernel is semi-naive (as
+in Datalog fixpoint evaluation): its code list is a FIFO worklist, and
+code i meets only codes[:i + 1], so each argument tuple is built once its
+last-added component is reached at a kept position.  A whole row of
+images is picked and tested against the code set in one step; the rows of
+an operation of arity 3 or more are picked, tested and gathered in C, with
+no Python bytecode run per row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, filterfalse, islice, product
+from itertools import chain, filterfalse, islice, permutations, product
 from operator import add, itemgetter
 from typing import Iterable, NamedTuple
 
@@ -133,17 +136,20 @@ class _Plan(NamedTuple):
 
     unary[c] lists the distinct images of code c under all unary
     operations at once (unary is empty when there are none); binary holds
-    (rows, cols) per binary operation, where rows[c][d] and cols[c][d] are
-    the images of the argument tuples (c, d) and (d, c); higher holds
-    (arity, tables) for every operation of arity k >= 3, with one table per
-    argument position p.  tables[p][c] fixes code c at p and nests, in
-    position order, one level of m entries per position other than p and a
-    free position q (the last one, or the one before it when p is last);
-    its innermost entries are rows of the m image codes over q.
+    the tables of the kept positions of each binary operation: (rows,) for
+    a commutative one and (rows, cols) otherwise, where rows[c][d] and
+    cols[c][d] are the images of the argument tuples (c, d) and (d, c);
+    higher holds (arity, tables) for every operation of arity k >= 3, with
+    one table per kept position p, in position order.  Each table takes
+    code c to the entry that fixes c at p and nests, in position order,
+    one level of m entries per position other than p and a free position
+    q (the last one, or the one before it when p is last); its innermost
+    entries are rows of the m image codes over q.  _kept_positions says
+    which positions are kept; position 0 always is.
     """
 
     unary: tuple[tuple[int, ...], ...]
-    binary: tuple[tuple[tuple, tuple], ...]
+    binary: tuple[tuple[tuple, ...], ...]
     higher: tuple[tuple[int, tuple], ...]
 
 
@@ -151,6 +157,8 @@ class _Plan(NamedTuple):
 def _square_tables(algebra: Algebra) -> _Plan:
     """The kernel plan: componentwise tables on pair codes, grouped by arity.
 
+    Only the tables of kept positions are built, so a commutative binary
+    operation has no cols and a fully symmetric ternary one a single table.
     Rows of operations of arity 3 or more are bytes while the m = n * n
     codes fit in a byte (n <= 16), and tuples beyond.  Such an operation's
     plan holds m ** arity image codes, over 24 million for a ternary
@@ -166,8 +174,9 @@ def _square_tables(algebra: Algebra) -> _Plan:
     higher = []
     for op in algebra.ops:
         tab = op.table
+        kept = _kept_positions(tab, op.arity, n)
         if op.arity > 2:
-            higher.append((op.arity, _position_tables(tab, op.arity, n, decomp)))
+            higher.append((op.arity, _position_tables(tab, op.arity, n, decomp, kept)))
             continue
         prefixes = [(0, 0)]
         for _ in range(op.arity):
@@ -177,20 +186,54 @@ def _square_tables(algebra: Algebra) -> _Plan:
             for c, v in enumerate(sq):
                 unary[c][v] = None
         else:
-            rows = tuple(sq[c * m:(c + 1) * m] for c in range(m))
-            binary.append((rows, tuple(sq[c::m] for c in range(m))))
+            tables = [tuple(sq[c * m:(c + 1) * m] for c in range(m))]
+            if 1 in kept:
+                tables.append(tuple(sq[c::m] for c in range(m)))
+            binary.append(tuple(tables))
     return _Plan(tuple(tuple(images) for images in unary), tuple(binary), tuple(higher))
 
 
-def _position_tables(tab, arity, n, decomp):
-    """The per-position row tables of one operation of arity 3 or more.
+def _kept_positions(tab, arity, n):
+    """The argument positions whose images the closure kernel must build.
+
+    A symmetry of the operation is a permutation s of its positions with
+    tab(x[s(0)], ..., x[s(k-1)]) = tab(x) for every x; each is found by
+    comparing tab with its permuted copy.  The symmetries form a group,
+    and permuting the entries of an argument tuple by one keeps its image
+    while moving each entry within its position's orbit.  So, over the
+    same listed codes, the tuples with code c at position p have the same
+    images as those with c at any other position of p's orbit.  The least
+    position of each orbit is kept and the others are dropped: whatever a
+    dropped position would add, an earlier kept one adds first.  Position
+    0 is always kept, and an operation without symmetries keeps them all.
+    """
+    dropped = set()
+    for perm in permutations(range(arity)):
+        lower = {p for p in range(arity) if perm[p] < p}
+        if lower <= dropped:  # the identity, or nothing new to drop
+            continue
+        # The index of the permuted argument tuple, for each x in row-major order.
+        strides = [0] * arity
+        for j, p in enumerate(perm):
+            strides[p] = n ** (arity - 1 - j)
+        index = [0]
+        for stride in strides:
+            index = [i + a * stride for i in index for a in range(n)]
+        if tuple(map(tab.__getitem__, index)) == tab:
+            dropped |= lower
+    return tuple(p for p in range(arity) if p not in dropped)
+
+
+def _position_tables(tab, arity, n, decomp, kept):
+    """The row tables of the kept positions of one operation of arity 3 or more.
 
     The flat image table lists the image codes of all argument tuples of
     codes in row-major order.  Its row for the leading codes (c_0, ...,
     c_{k-2}) is built at once from the two n-entry blocks of tab that the
     first and the second components of those codes select.  rows are its
-    slices over the last position; cols its strided slices over the
-    position before, for each code at the last one.
+    slices over the last position; cols, built only when the last
+    position is kept, its strided slices over the position before, for
+    each code at the last one.
     """
     m = n * n
     blocks = [tab[i:i + n] for i in range(0, len(tab), n)]
@@ -202,9 +245,11 @@ def _position_tables(tab, arity, n, decomp):
     image = bytes if m <= 256 else tuple
     flat = image(chain.from_iterable(map(add, high[ia], low[ib]) for ia, ib in heads))
     rows = [flat[i:i + m] for i in range(0, len(flat), m)]
-    cols = [flat[i + c:i + m * m:m] for i in range(0, len(flat), m * m) for c in range(m)]
-    tables = [_by_code(rows, m, arity, p) for p in range(arity - 1)]
-    return tuple(tables + [_by_code(cols, m, arity, arity - 2)])
+    tables = [_by_code(rows, m, arity, p) for p in kept if p < arity - 1]
+    if kept[-1] == arity - 1:
+        cols = [flat[i + c:i + m * m:m] for i in range(0, len(flat), m * m) for c in range(m)]
+        tables.append(_by_code(cols, m, arity, arity - 2))
+    return tuple(tables)
 
 
 def _by_code(cells, m, arity, p):
@@ -229,13 +274,17 @@ def _saturate(plan, member, codes, start):
 
     plan is the algebra's kernel plan; _grow is the only caller.  codes is
     its own FIFO worklist and codes[:start] is already closed.  Code i is
-    combined only with codes[:i + 1], in every argument position, so an
-    argument tuple is built only once its last-added component is reached,
-    and no tuple inside the closed prefix is built.  member is the set of
-    codes present; a whole row of images is picked and tested against it
-    at once.  For an operation of arity k >= 3, the table of each position
-    is entered at code i and picked at codes[:i + 1] through its k - 2
-    levels down to rows, which are then picked, tested and gathered
+    combined only with codes[:i + 1], in every kept argument position, so
+    an argument tuple is built only once its last-added component is
+    reached, and no tuple inside the closed prefix is built.  A dropped
+    position would add nothing new: its images are those of an earlier
+    kept position of the same operation (see _kept_positions), which are
+    already in member or earlier in found, so dropping it changes neither
+    the closure nor the order of codes.  member is the set of codes
+    present; a whole row of images is picked and tested against it at
+    once.  For an operation of arity k >= 3, the table of each kept
+    position is entered at code i and picked at codes[:i + 1] through its
+    k - 2 levels down to rows, which are then picked, tested and gathered
     without a Python loop per row.  New images are appended after each
     code.  Images of swapped tuples are the swapped images, so a
     symmetric start closes to a symmetric list.
@@ -250,8 +299,9 @@ def _saturate(plan, member, codes, start):
             found += unary[c]
         if binary or higher:
             pick = _picker(codes[:i + 1])
-            for rows, cols in binary:
-                for images in (pick(rows[c]), pick(cols[c])):
+            for tables in binary:
+                for table in tables:
+                    images = pick(table[c])
                     if not covered(images):
                         found += images
             for arity, tables in higher:
@@ -351,9 +401,9 @@ def is_compatible(algebra: Algebra, rel: BinRel) -> bool:
     images at a time through the kernel plan, and stops at the first row
     that leaves the relation.  That costs |rel| ** arity table lookups per
     operation.  For arity 3 or more the rows come from position 0's row
-    tables and are picked and tested in C, so those lookups run without
-    Python bytecode per row: fine through arity 3 at this package's
-    universe sizes, and steep beyond.
+    table, which every plan keeps, and are picked and tested in C, so
+    those lookups run without Python bytecode per row: fine through arity
+    3 at this package's universe sizes, and steep beyond.
     """
     if rel.n != algebra.n:
         raise DimensionError(f"relation lives on {rel.n} elements, algebra on {algebra.n}")
@@ -364,7 +414,7 @@ def is_compatible(algebra: Algebra, rel: BinRel) -> bool:
     unary, binary, higher = _square_tables(algebra)
     if unary and not all(covered(unary[c]) for c in codes):
         return False
-    for rows, _cols in binary:
+    for rows, *_ in binary:
         if not all(covered(pick(rows[c])) for c in codes):
             return False
     for arity, tables in higher:

@@ -4,7 +4,7 @@ import os
 import subprocess
 import sys
 from collections import deque
-from itertools import islice, product
+from itertools import islice, permutations, product
 
 from hypothesis import strategies as st
 
@@ -76,6 +76,59 @@ def near_projection_algebras(draw, max_n: int = 4, max_ops: int = 2, max_arity: 
         table = [args[keep] for args in product(range(n), repeat=arity)]
         for _ in range(draw(st.integers(1, 4))):
             table[draw(st.integers(0, len(table) - 1))] = draw(st.integers(0, n - 1))
+        ops.append(OperationTable(f"f{i}", arity, tuple(table)))
+    return Algebra(n, tuple(ops))
+
+
+def _permutation_group(draw, arity):
+    """The trivial group, one transposition, a 3-cycle or every permutation of the positions."""
+    ident = tuple(range(arity))
+    kinds = ["trivial", "transposition", "all"] + (["3-cycle"] if arity > 2 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "trivial":
+        return [ident]
+    if kind == "all":
+        return list(permutations(ident))
+    moved = draw(st.permutations(ident))[:2 if kind == "transposition" else 3]
+    gen = list(ident)
+    for a, b in zip(moved, moved[1:] + moved[:1]):
+        gen[a] = b
+    group = [ident]
+    power = tuple(gen)
+    while power != ident:
+        group.append(power)
+        power = tuple(gen[j] for j in power)
+    return group
+
+
+@st.composite
+def symmetric_algebras(draw, max_n: int = 4, max_ops: int = 2):
+    """Operations of arity 2 to 4 invariant under a group of argument permutations.
+
+    Uniform random tables are almost never symmetric, so they do not reach
+    a kernel that drops an argument position it should keep.  Each table
+    takes one value per orbit of argument tuples under the trivial group,
+    one transposition, a 3-cycle or all permutations of its positions.  The
+    value comes from a random table or from a projection, which the full
+    group turns into min, max or a median.  One time in three an entry is
+    then changed, so the table just misses that symmetry.
+    """
+    n = draw(st.integers(2, max_n))
+    ops = []
+    for i in range(draw(st.integers(1, max_ops))):
+        arity = draw(st.integers(2, 4))
+        group = _permutation_group(draw, arity)
+        args = list(product(range(n), repeat=arity))
+        if draw(st.booleans()):
+            keep = draw(st.integers(0, arity - 1))
+            base = {x: x[keep] for x in args}
+        else:
+            base = dict(zip(args, draw(st.lists(st.integers(0, n - 1),
+                                                min_size=len(args), max_size=len(args)))))
+        table = [base[min(tuple(x[j] for j in perm) for perm in group)] for x in args]
+        if draw(st.integers(0, 2)) == 0:
+            idx = draw(st.integers(0, len(table) - 1))
+            table[idx] = (table[idx] + draw(st.integers(1, n - 1))) % n
         ops.append(OperationTable(f"f{i}", arity, tuple(table)))
     return Algebra(n, tuple(ops))
 
@@ -266,19 +319,22 @@ def weak_representation_oracle(algebra: Algebra, theta: BinRel):
 
 
 def join_closure_oracle(algebra: Algebra, kind: str, limit: int = 10**5) -> list:
-    """Tolerances or congruences by pairwise join-then-close.
+    """Admissible relations, tolerances or congruences by pairwise join-then-close.
 
-    kind is "tolerances" or "congruences".  Starts from the diagonal and
-    the principal relations, then joins every item with every earlier item
-    and re-closes the join under the operations (for congruences, also
-    under _congruence_close).  O(T²) closures, so only usable on small
-    algebras.  Raises BudgetExceeded once more than limit relations exist.
+    kind is "admissible", "tolerances" or "congruences".  Starts from the
+    diagonal and the principal relations, then joins every item with every
+    earlier item and re-closes the join under the operations (for
+    congruences, also under _congruence_close).  O(T²) closures, so only
+    usable on small algebras.  Raises BudgetExceeded once more than limit
+    relations exist.
     """
     def close(rel):
         return _congruence_close(algebra, rel) if kind == "congruences" else rel
 
     n = algebra.n
-    diag = closure(algebra, (), "reflexive-symmetric")
+    symmetric = kind != "admissible"
+    mode = "reflexive-symmetric" if symmetric else "reflexive"
+    diag = closure(algebra, (), mode)
     seen = {diag}
     items = [diag]
 
@@ -290,12 +346,13 @@ def join_closure_oracle(algebra: Algebra, kind: str, limit: int = 10**5) -> list
                 raise BudgetExceeded(f"{kind} budget of {limit} passed")
 
     for a in range(n):
-        for b in range(a + 1, n):
-            add(close(closure(algebra, ((a, b),), "reflexive-symmetric")))
+        for b in range(n):
+            if a < b or a != b and not symmetric:
+                add(close(closure(algebra, ((a, b),), mode)))
     i = 0
     while i < len(items):
         for pred in range(i):
-            add(close(_grow(algebra, items[i], items[pred].pairs(), symmetric=True)))
+            add(close(_grow(algebra, items[i], items[pred].pairs(), symmetric=symmetric)))
         i += 1
     return sorted(items, key=lambda r: (r.pair_count(), r.rows))
 

@@ -1,6 +1,6 @@
 import pickle
 from dataclasses import fields
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +13,7 @@ from helpers import (
     closure_oracle,
     compatible_oracle,
     near_projection_algebras,
+    symmetric_algebras,
 )
 from tolrep import (
     Algebra,
@@ -29,7 +30,7 @@ from tolrep import (
     is_compatible,
     subset,
 )
-from tolrep.algebras import _grow, _square_tables
+from tolrep.algebras import _grow, _kept_positions, _square_tables
 
 
 def two_chain():
@@ -187,6 +188,11 @@ class TestKernelOracle:
     def test_closure_and_grow_on_expansions(self, alg, data):
         self.check(alg, *data.draw(seed_and_extra(alg)))
 
+    @settings(max_examples=80)
+    @given(symmetric_algebras(), st.data())
+    def test_closure_and_grow_on_symmetric_operations(self, alg, data):
+        self.check(alg, *data.draw(seed_and_extra(alg)))
+
     @pytest.mark.parametrize("arity", [1, 2, 3, 4])
     def test_every_one_entry_change_of_a_projection(self, arity):
         # On two points, a projection with one table entry changed needs
@@ -227,8 +233,9 @@ class TestCompatibility:
         alg, rel = case
         assert is_compatible(alg, rel) == (closure(alg, rel.pairs(), "reflexive") == rel)
 
-    @settings(max_examples=60)
-    @given(algebras(max_n=4, max_arity=4) | near_projection_algebras(), st.data())
+    @settings(max_examples=100)
+    @given(algebras(max_n=4, max_arity=4) | near_projection_algebras() | symmetric_algebras(),
+           st.data())
     def test_matches_definition_up_to_arity_four(self, alg, data):
         rel = data.draw(binrels_on(alg.n))
         assert is_compatible(alg, rel) == compatible_oracle(alg, rel)
@@ -281,28 +288,79 @@ class TestKernelPlan:
         loaded = pickle.loads(pickle.dumps(alg))
         assert loaded == alg and hash(loaded) == hash(two_chain())
 
-    @settings(max_examples=30)
-    @given(algebras(max_n=4, max_arity=4))
-    def test_row_tables_hold_componentwise_images(self, alg):
-        # tables[p][c] nests over the positions other than p and q, in
-        # order, down to rows over q: the last position, or the one before
-        # it when p is last.
+    @settings(max_examples=40)
+    @given(algebras(max_n=4, max_arity=4) | symmetric_algebras(), st.data())
+    def test_row_tables_hold_componentwise_images(self, alg, data):
+        # An operation keeps the least position of each orbit of its
+        # symmetry group, and has one table per kept position p, in order.
+        # Entry c of that table fixes c at p and nests over the positions
+        # other than p and q, in order, down to rows over q: the last
+        # position, or the one before it when p is last.  A dropped
+        # position's images, over any listed codes, are those of the least
+        # position of its orbit.
         n, m = alg.n, alg.n ** 2
-        higher = [op for op in alg.ops if op.arity > 2]
-        assert [arity for arity, _ in _square_tables(alg).higher] == [op.arity for op in higher]
-        for op, (arity, tables) in zip(higher, _square_tables(alg).higher):
-            assert len(tables) == arity
-            value = {args: eval_op(alg, op.name, args) for args in product(range(n), repeat=arity)}
-            for codes in product(range(m), repeat=arity):
-                want = (value[tuple(c // n for c in codes)] * n
+        plan = _square_tables(alg)
+        laid_out = [(2, tables) for tables in plan.binary] + list(plan.higher)
+        ops = [op for op in alg.ops if op.arity == 2] + [op for op in alg.ops if op.arity > 2]
+        assert [arity for arity, _ in laid_out] == [op.arity for op in ops]
+        for op, (arity, tables) in zip(ops, laid_out):
+            args = list(product(range(n), repeat=arity))
+            value = {x: eval_op(alg, op.name, x) for x in args}
+            group = [perm for perm in permutations(range(arity))
+                     if all(value[tuple(x[j] for j in perm)] == value[x] for x in args)]
+            least = [min(perm[p] for perm in group) for p in range(arity)]
+            kept = _kept_positions(op.table, arity, n)
+            assert kept == tuple(p for p in range(arity) if least[p] == p)
+            assert len(tables) == len(kept)
+
+            def image(codes):
+                return (value[tuple(c // n for c in codes)] * n
                         + value[tuple(c % n for c in codes)])
-                for p, by_code in enumerate(tables):
+
+            for codes in product(range(m), repeat=arity):
+                for p, by_code in zip(kept, tables):
                     q = arity - 1 if p < arity - 1 else arity - 2
                     entry = by_code
                     for j in [p] + [j for j in range(arity) if j not in (p, q)] + [q]:
                         assert len(entry) == m
                         entry = entry[codes[j]]
-                    assert entry == want
+                    assert entry == image(codes)
+            listed = data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=5, unique=True))
+            for p in set(range(arity)) - set(kept):
+                for c in listed:
+                    def images_at(position):
+                        return {image(codes) for codes in product(listed, repeat=arity)
+                                if codes[position] == c}
+                    assert images_at(p) == images_at(least[p])
+
+    @pytest.mark.parametrize("name", ["chain(4)", "n5", "s7_semilattice"])
+    def test_commutative_operations_keep_rows_only(self, name):
+        binary = _square_tables(corpus_get(name).algebra).binary
+        assert binary and all(len(tables) == 1 for tables in binary)
+
+    def test_majority_keeps_one_table(self):
+        alg = corpus_get("l7_majority").algebra
+        [(arity, tables)] = _square_tables(alg).higher
+        assert (arity, len(tables)) == (3, 1)
+        assert _kept_positions(alg.op("f").table, 3, 7) == (0,)
+
+    def test_almost_commutative_operation_keeps_both_positions(self):
+        table = [max(x, y) for x in range(3) for y in range(3)]
+        table[1] = 2  # (0, 1) -> 2, while (1, 0) -> 1
+        alg = Algebra(3, (OperationTable("f", 2, tuple(table)),))
+        [tables] = _square_tables(alg).binary
+        assert len(tables) == 2
+
+    @pytest.mark.parametrize("fn, kept", [
+        (lambda x, y, z: (x + y * z) % 3, (0, 1)),  # invariant under swapping y and z only
+        (lambda x, y, z: (x * y * y + y * z * z + z * x * x) % 3, (0,)),  # under a 3-cycle only
+        (lambda x, y, z: (x + 2 * y + z * z) % 3, (0, 1, 2)),  # no symmetry
+    ])
+    def test_ternary_operations_keep_one_position_per_orbit(self, fn, kept):
+        alg = Algebra(3, (OperationTable.from_function("f", 3, 3, fn),))
+        [(_, tables)] = _square_tables(alg).higher
+        assert _kept_positions(alg.op("f").table, 3, 3) == kept
+        assert len(tables) == len(kept)
 
     def test_unary_images_are_merged(self):
         plus = expand(corpus_get("five_set").algebra, corpus_get("five_set").relations["theta"])

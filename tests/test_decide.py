@@ -14,6 +14,7 @@ from helpers import (
     join_closure_oracle,
     join_every_principal_oracle,
     run_python,
+    symmetric_algebras,
     weak_representation_oracle,
 )
 from tolrep import (
@@ -618,11 +619,21 @@ class TestToleranceEnumeration:
     def test_bare_universe_gives_bell_number(self):
         assert len(enumerate_congruences(Algebra(5))) == 52
 
-    @settings(max_examples=60)
-    @given(algebras(max_n=4, max_arity=3))
+    @settings(max_examples=100)
+    @given(algebras(max_n=4, max_arity=3) | symmetric_algebras())
     def test_matches_join_closure_oracle(self, alg):
         assert enumerate_tolerances(alg) == join_closure_oracle(alg, "tolerances")
         assert enumerate_congruences(alg) == join_closure_oracle(alg, "congruences")
+
+    @settings(max_examples=60)
+    @given(symmetric_algebras(max_n=3))
+    def test_admissible_matches_join_closure_oracle_on_symmetric_operations(self, alg):
+        # On four points a projection keeps all 4 096 reflexive relations,
+        # too many for the oracle's pairwise joins.
+        admissible = enumerate_admissible(alg, limit=10**5)
+        assert not admissible.truncated
+        assert sorted(admissible.relations, key=lambda r: (r.pair_count(), r.rows)) == \
+            join_closure_oracle(alg, "admissible")
 
     @settings(max_examples=40)
     @given(algebras(max_n=4, max_arity=3), st.sampled_from(["tolerances", "congruences"]))
