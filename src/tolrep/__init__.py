@@ -22,7 +22,7 @@ from .algebras import (
     is_compatible,
 )
 from . import cli  # the console front end loads with the package
-from .corpus import CorpusEntry, corpus_get, corpus_names
+from .corpus import corpus_get, corpus_names
 from .decide import (
     DEFAULT_NODE_BUDGET,
     DEFAULT_REL_BUDGET,
@@ -63,7 +63,6 @@ __all__ = [
     "BinRel",
     "BudgetExceeded",
     "CLOSURE_MODES",
-    "CorpusEntry",
     "DEFAULT_NODE_BUDGET",
     "DEFAULT_REL_BUDGET",
     "DimensionError",

@@ -8,21 +8,21 @@ and every operation acts componentwise on codes.  A relation is compatible
 exactly when its code set is closed under those componentwise operations.
 
 The componentwise tables are built once per algebra into a kernel plan:
-for each code, the distinct images under all unary operations merged;
-for each binary operation, the row and, unless the operation is
-commutative, the column of images of each code; and for each operation of
-arity k >= 3, one table per kept argument position, which takes a code at
-that position and codes at all other positions but one to the row of
-images over that free position.  These rows are bytes slices of one flat
-image table.  A position is kept unless a permutation of the arguments
-that leaves the operation unchanged sends it to an earlier position: its
-images would repeat that position's.  The closure kernel is semi-naive (as
-in Datalog fixpoint evaluation): its code list is a FIFO worklist, and
-code i meets only codes[:i + 1], so each argument tuple is built once its
-last-added component is reached at a kept position.  A whole row of
-images is picked and tested against the code set in one step; the rows of
-an operation of arity 3 or more are picked, tested and gathered in C, with
-no Python bytecode run per row.
+for each code, the distinct images under all unary operations merged; and
+for each operation of arity k >= 2, one table per kept argument position,
+which takes a code at that position and codes at all other positions but
+one to the row of images over that free position.  For a binary operation
+these are the row and, unless it is commutative, the column of images of
+each code.  The rows are slices of one flat image table, bytes while the
+codes fit in a byte.  A position is kept unless a permutation of the
+arguments that leaves the operation unchanged sends it to an earlier
+position: its images would repeat that position's.  The closure kernel is
+semi-naive (as in Datalog fixpoint evaluation): its code list is a FIFO
+worklist, and code i meets only codes[:i + 1], so each argument tuple is
+built once its last-added component is reached at a kept position.  A
+whole row of images is picked and tested against the code set in one
+step; the rows of an operation of arity 3 or more are picked, tested and
+gathered in C, with no Python bytecode run per row.
 """
 
 from __future__ import annotations
@@ -135,34 +135,35 @@ class _Plan(NamedTuple):
     """The operations of the square algebra, laid out for the closure kernel.
 
     unary[c] lists the distinct images of code c under all unary
-    operations at once (unary is empty when there are none); binary holds
-    the tables of the kept positions of each binary operation: (rows,) for
-    a commutative one and (rows, cols) otherwise, where rows[c][d] and
-    cols[c][d] are the images of the argument tuples (c, d) and (d, c);
-    higher holds (arity, tables) for every operation of arity k >= 3, with
-    one table per kept position p, in position order.  Each table takes
-    code c to the entry that fixes c at p and nests, in position order,
-    one level of m entries per position other than p and a free position
-    q (the last one, or the one before it when p is last); its innermost
-    entries are rows of the m image codes over q.  _kept_positions says
-    which positions are kept; position 0 always is.
+    operations at once (unary is empty when there are none).  tables holds
+    (arity, tables) for every operation of arity k >= 2, in operation
+    order, with one table per kept position p, in position order.  Each
+    table takes code c to the entry that fixes c at p and nests, in
+    position order, one level of m entries per position other than p and
+    a free position q (the last one, or the one before it when p is last);
+    its innermost entries are rows of the m image codes over q.  So a
+    binary operation's tables are rows, with rows[c][d] the image of (c, d),
+    and, unless it is commutative, cols, with cols[c][d] the image of
+    (d, c).  _kept_positions says which positions are kept; position 0
+    always is.
     """
 
     unary: tuple[tuple[int, ...], ...]
-    binary: tuple[tuple[tuple, ...], ...]
-    higher: tuple[tuple[int, tuple], ...]
+    tables: tuple[tuple[int, tuple], ...]
 
 
 @lru_cache(maxsize=None)
 def _square_tables(algebra: Algebra) -> _Plan:
-    """The kernel plan: componentwise tables on pair codes, grouped by arity.
+    """The kernel plan: componentwise tables on pair codes.
 
-    Only the tables of kept positions are built, so a commutative binary
-    operation has no cols and a fully symmetric ternary one a single table.
-    Rows of operations of arity 3 or more are bytes while the m = n * n
-    codes fit in a byte (n <= 16), and tuples beyond.  Such an operation's
-    plan holds m ** arity image codes, over 24 million for a ternary
-    operation at n = 17, so those plans are out of reach already.
+    Unary images are merged from the components of each code; every other
+    operation gets the row tables of its kept positions from
+    _position_tables, so a commutative binary operation has no cols and a
+    fully symmetric ternary one a single table.  Rows are bytes while the
+    m = n * n codes fit in a byte (n <= 16), and tuples beyond.  An
+    operation's plan holds m ** arity image codes: a binary one at n = 17
+    gets tuple rows, while a ternary one there would need over 24 million,
+    out of reach already.
     """
     n = algebra.n
     m = n * n
@@ -170,27 +171,15 @@ def _square_tables(algebra: Algebra) -> _Plan:
     decomp = [divmod(c, n) for c in range(m)] if algebra.ops else ()
     has_unary = any(op.arity == 1 for op in algebra.ops)
     unary = [{} for _ in range(m)] if has_unary else ()
-    binary = []
-    higher = []
+    tables = []
     for op in algebra.ops:
         tab = op.table
-        kept = _kept_positions(tab, op.arity, n)
-        if op.arity > 2:
-            higher.append((op.arity, _position_tables(tab, op.arity, n, decomp, kept)))
-            continue
-        prefixes = [(0, 0)]
-        for _ in range(op.arity):
-            prefixes = [(ia * n + a, ib * n + b) for ia, ib in prefixes for a, b in decomp]
-        sq = tuple(tab[ia] * n + tab[ib] for ia, ib in prefixes)
         if op.arity == 1:
-            for c, v in enumerate(sq):
-                unary[c][v] = None
+            for images, (a, b) in zip(unary, decomp):
+                images[tab[a] * n + tab[b]] = None
         else:
-            tables = [tuple(sq[c * m:(c + 1) * m] for c in range(m))]
-            if 1 in kept:
-                tables.append(tuple(sq[c::m] for c in range(m)))
-            binary.append(tuple(tables))
-    return _Plan(tuple(tuple(images) for images in unary), tuple(binary), tuple(higher))
+            tables.append((op.arity, _position_tables(tab, op.arity, n, decomp)))
+    return _Plan(tuple(tuple(images) for images in unary), tuple(tables))
 
 
 def _kept_positions(tab, arity, n):
@@ -224,16 +213,18 @@ def _kept_positions(tab, arity, n):
     return tuple(p for p in range(arity) if p not in dropped)
 
 
-def _position_tables(tab, arity, n, decomp, kept):
-    """The row tables of the kept positions of one operation of arity 3 or more.
+def _position_tables(tab, arity, n, decomp):
+    """The row tables of the kept positions of one operation of arity 2 or more.
 
     The flat image table lists the image codes of all argument tuples of
     codes in row-major order.  Its row for the leading codes (c_0, ...,
     c_{k-2}) is built at once from the two n-entry blocks of tab that the
-    first and the second components of those codes select.  rows are its
-    slices over the last position; cols, built only when the last
-    position is kept, its strided slices over the position before, for
-    each code at the last one.
+    first and the second components of those codes select.  Position j of
+    an argument tuple moves its index by stride m ** (k - 1 - j), so each
+    kept position's table is nested slices of the flat table: the row over
+    the free position q is the slice with q's stride, from the start that
+    the fixed positions select, and the rows are then grouped by m, one
+    level per fixed position, innermost first.
     """
     m = n * n
     blocks = [tab[i:i + n] for i in range(0, len(tab), n)]
@@ -244,29 +235,19 @@ def _position_tables(tab, arity, n, decomp, kept):
         heads = [(ia * n + a, ib * n + b) for ia, ib in heads for a, b in decomp]
     image = bytes if m <= 256 else tuple
     flat = image(chain.from_iterable(map(add, high[ia], low[ib]) for ia, ib in heads))
-    rows = [flat[i:i + m] for i in range(0, len(flat), m)]
-    tables = [_by_code(rows, m, arity, p) for p in kept if p < arity - 1]
-    if kept[-1] == arity - 1:
-        cols = [flat[i + c:i + m * m:m] for i in range(0, len(flat), m * m) for c in range(m)]
-        tables.append(_by_code(cols, m, arity, arity - 2))
+    strides = [m ** (arity - 1 - j) for j in range(arity)]
+    tables = []
+    for p in _kept_positions(tab, arity, n):
+        q = arity - 1 if p < arity - 1 else arity - 2
+        starts = [0]
+        for j in [p] + [j for j in range(arity) if j not in (p, q)]:
+            starts = [i + c * strides[j] for i in starts for c in range(m)]
+        step = strides[q]
+        table = [flat[i:i + step * m:step] for i in starts]
+        for _ in range(arity - 1):
+            table = [tuple(table[i:i + m]) for i in range(0, len(table), m)]
+        tables.append(table[0])
     return tuple(tables)
-
-
-def _by_code(cells, m, arity, p):
-    """Group cells, indexed by arity - 1 codes in row-major order, by the code at p.
-
-    Entry c nests the cells whose code at p is c into arity - 2 levels of
-    m entries, by their other codes in order.
-    """
-    span = m ** (arity - 2 - p)
-    table = []
-    for c in range(m):
-        picked = list(chain.from_iterable(
-            cells[i:i + span] for i in range(c * span, len(cells), span * m)))
-        for _ in range(arity - 3):
-            picked = [tuple(picked[i:i + m]) for i in range(0, len(picked), m)]
-        table.append(tuple(picked))
-    return tuple(table)
 
 
 def _saturate(plan, member, codes, start):
@@ -282,14 +263,16 @@ def _saturate(plan, member, codes, start):
     already in member or earlier in found, so dropping it changes neither
     the closure nor the order of codes.  member is the set of codes
     present; a whole row of images is picked and tested against it at
-    once.  For an operation of arity k >= 3, the table of each kept
-    position is entered at code i and picked at codes[:i + 1] through its
-    k - 2 levels down to rows, which are then picked, tested and gathered
-    without a Python loop per row.  New images are appended after each
+    once.  The table of each kept position is entered at code i and picked
+    at codes[:i + 1].  For arity 2 that pick is already the row of images,
+    tested in one direct step: sending that one row through the pipeline
+    for higher arities costs more than it saves.  For arity k >= 3 the
+    pick descends k - 2 levels down to rows, which are then picked, tested
+    and gathered without a Python loop per row.  New images are appended after each
     code.  Images of swapped tuples are the swapped images, so a
     symmetric start closes to a symmetric list.
     """
-    unary, binary, higher = plan
+    unary, tables = plan
     covered = member.issuperset
     i = start
     while i < len(codes):
@@ -297,16 +280,17 @@ def _saturate(plan, member, codes, start):
         found = []
         if unary and not covered(unary[c]):
             found += unary[c]
-        if binary or higher:
+        if tables:
             pick = _picker(codes[:i + 1])
-            for tables in binary:
-                for table in tables:
-                    images = pick(table[c])
-                    if not covered(images):
-                        found += images
-            for arity, tables in higher:
-                for by_code in tables:
-                    rows = pick(by_code[c])
+            for arity, by_position in tables:
+                if arity == 2:
+                    for table in by_position:
+                        images = pick(table[c])
+                        if not covered(images):
+                            found += images
+                    continue
+                for table in by_position:
+                    rows = pick(table[c])
                     for _ in range(arity - 3):
                         rows = chain.from_iterable(map(pick, rows))
                     found += chain.from_iterable(filterfalse(covered, map(pick, rows)))
@@ -400,10 +384,10 @@ def is_compatible(algebra: Algebra, rel: BinRel) -> bool:
     Checks every tuple of related argument pairs directly, a row of
     images at a time through the kernel plan, and stops at the first row
     that leaves the relation.  That costs |rel| ** arity table lookups per
-    operation.  For arity 3 or more the rows come from position 0's row
-    table, which every plan keeps, and are picked and tested in C, so
-    those lookups run without Python bytecode per row: fine through arity
-    3 at this package's universe sizes, and steep beyond.
+    operation.  The rows come from position 0's row table, which every
+    plan keeps, and are picked and tested in C, so those lookups run
+    without Python bytecode per row: fine through arity 3 at this
+    package's universe sizes, and steep beyond.
     """
     if rel.n != algebra.n:
         raise DimensionError(f"relation lives on {rel.n} elements, algebra on {algebra.n}")
@@ -411,14 +395,11 @@ def is_compatible(algebra: Algebra, rel: BinRel) -> bool:
     member = set(codes)
     covered = member.issuperset
     pick = _picker(codes)
-    unary, binary, higher = _square_tables(algebra)
+    unary, tables = _square_tables(algebra)
     if unary and not all(covered(unary[c]) for c in codes):
         return False
-    for rows, *_ in binary:
-        if not all(covered(pick(rows[c])) for c in codes):
-            return False
-    for arity, tables in higher:
-        rows = pick(tables[0])
+    for arity, by_position in tables:
+        rows = pick(by_position[0])
         for _ in range(arity - 2):
             rows = chain.from_iterable(map(pick, rows))
         if not all(map(covered, map(pick, rows))):

@@ -17,7 +17,6 @@ from .document import Document
 from .relations import BinRel
 
 __all__ = [
-    "CorpusEntry",
     "corpus_get",
     "corpus_names",
     "five_set",
@@ -29,9 +28,6 @@ __all__ = [
     "theta_ab",
     "expand_five",
 ]
-
-
-CorpusEntry = Document  # kept so that code importing CorpusEntry still works
 
 
 def _lattice_ops(n: int, leq_pairs: set[tuple[int, int]]) -> tuple[OperationTable, OperationTable]:

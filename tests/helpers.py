@@ -61,17 +61,18 @@ def algebras(draw, max_n: int = 4, max_ops: int = 2, max_arity: int = 2):
 
 
 @st.composite
-def near_projection_algebras(draw, max_n: int = 4, max_ops: int = 2, max_arity: int = 4):
+def near_projection_algebras(draw, max_n: int = 4, max_ops: int = 2, max_arity: int = 4,
+                             min_n: int = 2, min_arity: int = 1):
     """Operations that are projections except on a few argument tuples.
 
     Uniform random tables close almost every relation to the full one;
     these keep closures small, so a kernel that skips an argument position
     gives a different closure.
     """
-    n = draw(st.integers(2, max_n))
+    n = draw(st.integers(min_n, max_n))
     ops = []
     for i in range(draw(st.integers(1, max_ops))):
-        arity = draw(st.integers(1, max_arity))
+        arity = draw(st.integers(min_arity, max_arity))
         keep = draw(st.integers(0, arity - 1))
         table = [args[keep] for args in product(range(n), repeat=arity)]
         for _ in range(draw(st.integers(1, 4))):

@@ -205,6 +205,23 @@ class TestKernelOracle:
                 for pair in ((0, 1), (1, 0)):
                     self.check(alg, [], [pair])
 
+    @pytest.mark.parametrize("n, row", [(16, bytes), (17, tuple)])
+    @settings(max_examples=15)
+    @given(data=st.data())
+    def test_binary_rows_past_one_byte(self, n, row, data):
+        # Rows are bytes while the n * n codes fit in a byte, tuples beyond.
+        alg = data.draw(near_projection_algebras(min_n=n, max_n=n, max_ops=1,
+                                                 min_arity=2, max_arity=2))
+        [(_, tables)] = _square_tables(alg).tables
+        assert all(type(table[0]) is row for table in tables)
+        pairs = st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=4)
+        seed, extra = data.draw(pairs), data.draw(pairs)
+        self.check(alg, seed, extra)
+        rel = data.draw(binrels_on(n))
+        assert is_compatible(alg, rel) == compatible_oracle(alg, rel)
+        closed = closure(alg, seed, "reflexive")
+        assert is_compatible(alg, closed) and compatible_oracle(alg, closed)
+
     def test_grow_returns_rel_when_nothing_is_new(self):
         alg = corpus_get("l7_majority").algebra
         rel = closure(alg, [(0, 1)], "reflexive")
@@ -300,10 +317,9 @@ class TestKernelPlan:
         # position of its orbit.
         n, m = alg.n, alg.n ** 2
         plan = _square_tables(alg)
-        laid_out = [(2, tables) for tables in plan.binary] + list(plan.higher)
-        ops = [op for op in alg.ops if op.arity == 2] + [op for op in alg.ops if op.arity > 2]
-        assert [arity for arity, _ in laid_out] == [op.arity for op in ops]
-        for op, (arity, tables) in zip(ops, laid_out):
+        ops = [op for op in alg.ops if op.arity > 1]
+        assert [arity for arity, _ in plan.tables] == [op.arity for op in ops]
+        for op, (arity, tables) in zip(ops, plan.tables):
             args = list(product(range(n), repeat=arity))
             value = {x: eval_op(alg, op.name, x) for x in args}
             group = [perm for perm in permutations(range(arity))
@@ -313,34 +329,46 @@ class TestKernelPlan:
             assert kept == tuple(p for p in range(arity) if least[p] == p)
             assert len(tables) == len(kept)
 
-            def image(codes):
-                return (value[tuple(c // n for c in codes)] * n
-                        + value[tuple(c % n for c in codes)])
+            # The image of every tuple of codes, in row-major order, built
+            # once from the argument tuples of its first and second components.
+            firsts = seconds = [()]
+            for _ in range(arity):
+                firsts = [x + (c // n,) for x in firsts for c in range(m)]
+                seconds = [x + (c % n,) for x in seconds for c in range(m)]
+            image = [value[x] * n + value[y] for x, y in zip(firsts, seconds)]
+            strides = [m ** (arity - 1 - j) for j in range(arity)]
 
-            for codes in product(range(m), repeat=arity):
-                for p, by_code in zip(kept, tables):
-                    q = arity - 1 if p < arity - 1 else arity - 2
+            def at(codes):
+                return image[sum(c * s for c, s in zip(codes, strides))]
+
+            for p, by_code in zip(kept, tables):
+                q = arity - 1 if p < arity - 1 else arity - 2
+                order = [p] + [j for j in range(arity) if j not in (p, q)]
+                for fixed in product(range(m), repeat=arity - 1):
                     entry = by_code
-                    for j in [p] + [j for j in range(arity) if j not in (p, q)] + [q]:
+                    for c in fixed:
                         assert len(entry) == m
-                        entry = entry[codes[j]]
-                    assert entry == image(codes)
+                        entry = entry[c]
+                    assert len(entry) == m
+                    base = sum(c * strides[j] for c, j in zip(fixed, order))
+                    assert list(entry) == image[base:base + m * strides[q]:strides[q]]
             listed = data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=5, unique=True))
             for p in set(range(arity)) - set(kept):
                 for c in listed:
                     def images_at(position):
-                        return {image(codes) for codes in product(listed, repeat=arity)
+                        return {at(codes) for codes in product(listed, repeat=arity)
                                 if codes[position] == c}
                     assert images_at(p) == images_at(least[p])
 
     @pytest.mark.parametrize("name", ["chain(4)", "n5", "s7_semilattice"])
     def test_commutative_operations_keep_rows_only(self, name):
-        binary = _square_tables(corpus_get(name).algebra).binary
+        binary = [tables for arity, tables in _square_tables(corpus_get(name).algebra).tables
+                  if arity == 2]
         assert binary and all(len(tables) == 1 for tables in binary)
 
     def test_majority_keeps_one_table(self):
         alg = corpus_get("l7_majority").algebra
-        [(arity, tables)] = _square_tables(alg).higher
+        [(arity, tables)] = _square_tables(alg).tables
         assert (arity, len(tables)) == (3, 1)
         assert _kept_positions(alg.op("f").table, 3, 7) == (0,)
 
@@ -348,8 +376,8 @@ class TestKernelPlan:
         table = [max(x, y) for x in range(3) for y in range(3)]
         table[1] = 2  # (0, 1) -> 2, while (1, 0) -> 1
         alg = Algebra(3, (OperationTable("f", 2, tuple(table)),))
-        [tables] = _square_tables(alg).binary
-        assert len(tables) == 2
+        [(arity, tables)] = _square_tables(alg).tables
+        assert (arity, len(tables)) == (2, 2)
 
     @pytest.mark.parametrize("fn, kept", [
         (lambda x, y, z: (x + y * z) % 3, (0, 1)),  # invariant under swapping y and z only
@@ -358,9 +386,20 @@ class TestKernelPlan:
     ])
     def test_ternary_operations_keep_one_position_per_orbit(self, fn, kept):
         alg = Algebra(3, (OperationTable.from_function("f", 3, 3, fn),))
-        [(_, tables)] = _square_tables(alg).higher
+        [(_, tables)] = _square_tables(alg).tables
         assert _kept_positions(alg.op("f").table, 3, 3) == kept
         assert len(tables) == len(kept)
+
+    def test_tables_follow_the_operation_order(self):
+        # Unary operations go to the merged images; every other one is
+        # listed with its arity, in the order of the algebra's operations.
+        ops = (OperationTable("u", 1, (1, 2, 0)),
+               OperationTable.from_function("t", 3, 3, lambda x, y, z: (x + 2 * y + z * z) % 3),
+               OperationTable.from_function("b", 2, 3, lambda x, y: (x + 2 * y) % 3))
+        plan = _square_tables(Algebra(3, ops))
+        assert [arity for arity, _ in plan.tables] == [3, 2]
+        assert plan.unary == tuple(((a + 1) % 3 * 3 + (b + 1) % 3,)
+                                   for a in range(3) for b in range(3))
 
     def test_unary_images_are_merged(self):
         plus = expand(corpus_get("five_set").algebra, corpus_get("five_set").relations["theta"])
