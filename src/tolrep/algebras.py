@@ -27,7 +27,6 @@ gathered in C, with no Python bytecode run per row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, filterfalse, islice, permutations, product
 from operator import add, itemgetter
@@ -50,56 +49,81 @@ __all__ = [
 CLOSURE_MODES = ("reflexive", "reflexive-symmetric")
 
 
-@dataclass(frozen=True)
+def _read_only(self, name, *value):
+    """__setattr__ and __delattr__ of an immutable class."""
+    raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+
 class OperationTable:
-    """Named finitary operation given by its value table."""
+    """Named finitary operation given by its value table; immutable."""
 
-    name: str
-    arity: int
-    table: tuple[int, ...]
+    __slots__ = ("name", "arity", "table")
+    __setattr__ = __delattr__ = _read_only
 
-    def __post_init__(self):
-        object.__setattr__(self, "table", tuple(self.table))
-        if not self.name:
+    def __init__(self, name: str, arity: int, table: Iterable[int]):
+        init = object.__setattr__
+        init(self, "name", name)
+        init(self, "arity", arity)
+        init(self, "table", tuple(table))
+        if not name:
             raise ValueError("operation name must be nonempty")
-        if self.arity < 1:
-            raise ValueError(f"operation {self.name!r} must take at least one argument")
+        if arity < 1:
+            raise ValueError(f"operation {name!r} must take at least one argument")
 
     @classmethod
     def from_function(cls, name, arity, n, fn) -> OperationTable:
         table = tuple(fn(*args) for args in product(range(n), repeat=arity))
         return cls(name, arity, table)
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.arity, self.table) == (other.name, other.arity, other.table)
 
-@dataclass(frozen=True)
+    def __hash__(self) -> int:
+        return hash((self.name, self.arity, self.table))
+
+    def __reduce__(self):
+        return OperationTable, (self.name, self.arity, self.table)
+
+    def __repr__(self):
+        return f"OperationTable(name={self.name!r}, arity={self.arity!r}, table={self.table!r})"
+
+
 class Algebra:
-    """Finite algebra: universe {0..n-1} and a tuple of operation tables."""
+    """Finite algebra: universe {0..n-1} and a tuple of operation tables; immutable."""
 
-    n: int
-    ops: tuple[OperationTable, ...] = ()
-    _by_name: dict = field(default=None, init=False, repr=False, compare=False)
-    _hash: int = field(default=0, init=False, repr=False, compare=False)
+    __slots__ = ("n", "ops", "_by_name", "_hash")
+    __setattr__ = __delattr__ = _read_only
 
-    def __post_init__(self):
-        object.__setattr__(self, "ops", tuple(self.ops))
-        if self.n <= 0:
-            raise ValueError(f"universe size must be positive, got {self.n}")
+    def __init__(self, n: int, ops: Iterable[OperationTable] = ()):
+        ops = tuple(ops)
+        if n <= 0:
+            raise ValueError(f"universe size must be positive, got {n}")
         by_name = {}
-        for op in self.ops:
+        for op in ops:
             if op.name in by_name:
                 raise ValueError(f"duplicate operation name {op.name!r}")
-            want = self.n ** op.arity
+            want = n ** op.arity
             if len(op.table) != want:
                 raise ValueError(
                     f"operation {op.name!r} expects {want} table entries, got {len(op.table)}"
                 )
             for v in op.table:
-                if not (0 <= v < self.n):
+                if not (0 <= v < n):
                     raise ValueError(f"operation {op.name!r} has value {v} outside the universe")
             by_name[op.name] = op
-        object.__setattr__(self, "_by_name", by_name)
+        init = object.__setattr__
+        init(self, "n", n)
+        init(self, "ops", ops)
+        init(self, "_by_name", by_name)
         # Hashing every table on each kernel-plan lookup would dominate small closures.
-        object.__setattr__(self, "_hash", hash((self.n, self.ops)))
+        init(self, "_hash", hash((n, ops)))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.ops == other.ops
 
     def __hash__(self) -> int:
         return self._hash
@@ -108,6 +132,9 @@ class Algebra:
         # Rebuild on unpickling: the cached hash covers string hashes,
         # which differ between processes.
         return Algebra, (self.n, self.ops)
+
+    def __repr__(self):
+        return f"Algebra(n={self.n!r}, ops={self.ops!r})"
 
     def op(self, name: str) -> OperationTable:
         try:
@@ -407,8 +434,7 @@ def is_compatible(algebra: Algebra, rel: BinRel) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class RelationClass:
+class RelationClass(NamedTuple):
     """The flags of `tolrep check`, in the order it prints them."""
 
     reflexive: bool

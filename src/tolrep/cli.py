@@ -14,7 +14,6 @@ or enumeration budget runs out.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -79,7 +78,7 @@ def _emit(args, payload: dict, lines: list[str], code: int = 0) -> int:
 
 
 def _cmd_check(args, doc: Document, rel_name: str, rel: BinRel) -> int:
-    flags = dataclasses.asdict(classify_relation(doc.algebra, rel))
+    flags = classify_relation(doc.algebra, rel)._asdict()
     lines = [f"relation {rel_name} on algebra {doc.name} (size {doc.algebra.n})"]
     lines += [f"{key}: {'yes' if value else 'no'}" for key, value in flags.items()]
     return _emit(args, {"algebra": doc.name, "size": doc.algebra.n, "relation": rel_name,

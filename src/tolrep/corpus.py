@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 
 from .algebras import Algebra, OperationTable, expand
-from .document import Document
+from .document import MAX_SIZE, Document
 from .relations import BinRel
 
 __all__ = [
@@ -146,6 +146,8 @@ def chain(k: int) -> Document:
     """Chain lattice 0 < 1 < ... < k-1."""
     if k <= 0:
         raise ValueError(f"chain length must be positive, got {k}")
+    if k > MAX_SIZE:
+        raise ValueError(f"chain length must be at most {MAX_SIZE}, got {k}")
     leq = {(a, b) for a in range(k) for b in range(a, k)}
     join = OperationTable.from_function("join", 2, k, max)
     meet = OperationTable.from_function("meet", 2, k, min)
@@ -165,6 +167,8 @@ def theta_ab(n: int, a: int, b: int) -> Document:
     """
     if n < 2:
         raise ValueError(f"need at least two elements, got {n}")
+    if n > MAX_SIZE:
+        raise ValueError(f"need at most {MAX_SIZE} elements, got {n}")
     if not (0 <= a < n and 0 <= b < n) or a == b:
         raise ValueError(f"need two distinct elements of 0..{n - 1}, got ({a}, {b})")
     full = (1 << n) - 1

@@ -9,9 +9,8 @@ relations, tolerances and congruences and a congruence permutability check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .algebras import Algebra, _grow, _require_tolerance, is_compatible
 from .errors import BudgetExceeded
@@ -42,15 +41,13 @@ DEFAULT_NODE_BUDGET = 10**6
 DEFAULT_REL_BUDGET = 10**5
 
 
-@dataclass(frozen=True)
-class RepWitness:
+class RepWitness(NamedTuple):
     """A reflexive compatible R whose composite with its converse is theta."""
 
     rel: BinRel
 
 
-@dataclass(frozen=True)
-class WeakRepWitness:
+class WeakRepWitness(NamedTuple):
     """One separator per ordered pair outside theta.
 
     Each separator R is reflexive and compatible with theta inside R∘R⁻
@@ -61,8 +58,7 @@ class WeakRepWitness:
     separators: dict[tuple[int, int], BinRel]
 
 
-@dataclass(frozen=True)
-class PermutabilityReport:
+class PermutabilityReport(NamedTuple):
     permutable: bool
     congruence_count: int
     counterexample: Optional[tuple[BinRel, BinRel, tuple[int, int]]] = None
@@ -296,8 +292,7 @@ def iter_admissible(algebra: Algebra) -> Iterator[BinRel]:
     return _join_closure(BinRel.diagonal(n), pairs, lambda r, pair: _grow(algebra, r, (pair,)))
 
 
-@dataclass(frozen=True)
-class AdmissibleEnumeration:
+class AdmissibleEnumeration(NamedTuple):
     relations: tuple[BinRel, ...]
     truncated: bool
 

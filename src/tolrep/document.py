@@ -18,31 +18,45 @@ comparing two documents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .algebras import Algebra, OperationTable
 from .errors import DocumentError
 from .relations import BinRel
 
-__all__ = ["Document", "parse_document", "print_document"]
+__all__ = ["MAX_SIZE", "Document", "parse_document", "print_document"]
+
+# Largest universe a document or a corpus entry may have.  A binary
+# operation's kernel plan holds n**4 codes, so far smaller sizes are
+# already slow; the bound stops a typo from allocating gigabytes.
+MAX_SIZE = 256
 
 
-@dataclass
 class Document:
     """An algebra plus named reflexive relations, from a file or the corpus."""
 
-    name: str
-    algebra: Algebra
-    relations: dict[str, BinRel] = field(default_factory=dict)
-    notes: str = field(default="", compare=False)
+    __hash__ = None  # mutable
 
-    def __post_init__(self):
+    def __init__(self, name: str, algebra: Algebra,
+                 relations: dict[str, BinRel] | None = None, notes: str = ""):
+        self.name = name
+        self.algebra = algebra
+        self.relations = {} if relations is None else relations
+        self.notes = notes
         for rname, rel in self.relations.items():
-            if rel.n != self.algebra.n:
+            if rel.n != algebra.n:
                 raise ValueError(f"relation {rname!r} lives on {rel.n} elements, "
-                                 f"algebra on {self.algebra.n}")
+                                 f"algebra on {algebra.n}")
             if not all(rel.rows[a] >> a & 1 for a in range(rel.n)):
                 raise ValueError(f"relation {rname!r} is missing diagonal pairs")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.name, self.algebra, self.relations)
+                == (other.name, other.algebra, other.relations))
+
+    def __repr__(self):
+        return (f"Document(name={self.name!r}, algebra={self.algebra!r}, "
+                f"relations={self.relations!r}, notes={self.notes!r})")
 
 
 def _ints(tokens):
@@ -117,6 +131,8 @@ def parse_document(text: str) -> Document:
             got = _ints(tokens[1:])
             if len(tokens) != 2 or got is None or got[0] <= 0:
                 fail(lineno, "expected: size N with N positive")
+            if got[0] > MAX_SIZE:
+                fail(lineno, f"size {got[0]} exceeds the largest supported universe, {MAX_SIZE}")
             n = got[0]
         elif keyword == "op":
             if n is None:

@@ -8,8 +8,7 @@ bit twiddling is both the fastest and the simplest representation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DimensionError
 
@@ -150,8 +149,7 @@ def subset(r: BinRel, s: BinRel) -> bool:
     return all(x & ~y == 0 for x, y in zip(r.rows, s.rows))
 
 
-@dataclass(frozen=True)
-class RelationShape:
+class RelationShape(NamedTuple):
     reflexive: bool
     symmetric: bool
     transitive: bool

@@ -18,8 +18,7 @@ same label.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 from .algebras import Algebra, _require_tolerance
 from .errors import DimensionError, TermSyntaxError
@@ -42,21 +41,38 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Var:
+# The nodes are named tuples that compare and hash by node type as well as
+# by fields, so Compose(x, y) != Intersect(x, y) and Var("x") != ("x",).
+def _node_eq(self, other):
+    if not isinstance(other, tuple):
+        return NotImplemented
+    return self.__class__ is other.__class__ and tuple.__eq__(self, other)
+
+
+def _node_ne(self, other):
+    eq = _node_eq(self, other)
+    return eq if eq is NotImplemented else not eq
+
+
+def _node_hash(self):
+    return hash((self.__class__.__name__, *self))
+
+
+class Var(NamedTuple):
     name: str
+    __eq__, __ne__, __hash__ = _node_eq, _node_ne, _node_hash
 
 
-@dataclass(frozen=True)
-class Compose:
+class Compose(NamedTuple):
     left: "RelTerm"
     right: "RelTerm"
+    __eq__, __ne__, __hash__ = _node_eq, _node_ne, _node_hash
 
 
-@dataclass(frozen=True)
-class Intersect:
+class Intersect(NamedTuple):
     left: "RelTerm"
     right: "RelTerm"
+    __eq__, __ne__, __hash__ = _node_eq, _node_ne, _node_hash
 
 
 RelTerm = Union[Var, Compose, Intersect]
@@ -176,8 +192,7 @@ def term_variables(term: RelTerm) -> set[str]:
     return term_variables(term.left) | term_variables(term.right)
 
 
-@dataclass(frozen=True)
-class TermGraph:
+class TermGraph(NamedTuple):
     """Two-terminal series-parallel graph of a term.
 
     Vertices are 0..vertex_count-1.  Edges keep their identity (the same

@@ -15,8 +15,8 @@ import os
 import random
 import tempfile
 import time
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from . import cli, corpus, decide
 from .algebras import Algebra, OperationTable, classify_relation, closure, is_compatible
@@ -30,8 +30,7 @@ __all__ = ["SEED", "CheckFailed", "CheckResult", "run_all", "CHECKS"]
 SEED = 1729  # fixed so the randomized sweeps are reproducible
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str

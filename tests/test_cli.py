@@ -13,6 +13,7 @@ from helpers import run_python
 from tolrep import (Algebra, BinRel, Document, DocumentError, corpus_get, parse_document,
                     print_document, verify)
 from tolrep.cli import run
+from tolrep.document import MAX_SIZE
 
 
 def write(tmp_path, text, name="alg.txt"):
@@ -121,6 +122,15 @@ class TestDocumentParsing:
     def test_duplicate_relation(self):
         with pytest.raises(DocumentError):
             parse_document("algebra a\nsize 2\nrel r\nrel r\n")
+
+    def test_size_bound(self):
+        # the bound is checked on the size line, before any row is allocated
+        assert parse_document(f"algebra a\nsize {MAX_SIZE}\n").algebra.n == MAX_SIZE
+        with pytest.raises(DocumentError, match=f"largest supported universe, {MAX_SIZE}") as exc:
+            parse_document(f"algebra a\nsize {MAX_SIZE + 1}\nrel r\n")
+        assert exc.value.line == 2
+        with pytest.raises(DocumentError, match=str(MAX_SIZE)):
+            parse_document("algebra a\nsize 1000000\nrel r\n")
 
     def test_relation_of_wrong_size(self):
         with pytest.raises(ValueError, match="lives on 3 elements"):
@@ -401,6 +411,16 @@ class TestCorpusCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: cannot write {out_path}: No such file or directory\n"
+
+    @pytest.mark.parametrize("name", ["chain(1000000000)", "theta_ab(257,0,1)"])
+    def test_size_bound(self, name, capsys):
+        assert run(["corpus", name]) == 2
+        assert f"at most {MAX_SIZE}" in capsys.readouterr().err
+
+    def test_oversized_document(self, tmp_path, capsys):
+        path = write(tmp_path, f"algebra a\nsize {MAX_SIZE + 1}\nrel r\n")
+        assert run(["check", path]) == 2
+        assert str(MAX_SIZE) in capsys.readouterr().err
 
     def test_unknown(self, capsys):
         assert run(["corpus", "mystery"]) == 2

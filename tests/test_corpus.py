@@ -14,7 +14,8 @@ from tolrep import (
     subset,
     verify_representation,
 )
-from tolrep.corpus import _lattice_ops
+from tolrep.corpus import _lattice_ops, chain, theta_ab
+from tolrep.document import MAX_SIZE
 
 
 class TestCatalogue:
@@ -45,6 +46,17 @@ class TestCatalogue:
             corpus_get("theta_ab(1,0,0)")
         with pytest.raises(ValueError, match="not a lattice"):
             _lattice_ops(2, set())  # two incomparable elements have no join
+
+    def test_size_bound(self):
+        assert chain(MAX_SIZE).algebra.n == MAX_SIZE
+        assert theta_ab(MAX_SIZE, 0, 1).algebra.n == MAX_SIZE
+        # rejected before anything of that size is built, so this returns at once
+        with pytest.raises(ValueError, match=f"at most {MAX_SIZE}"):
+            chain(10**9)
+        with pytest.raises(ValueError, match=f"at most {MAX_SIZE}"):
+            chain(MAX_SIZE + 1)
+        with pytest.raises(ValueError, match=f"at most {MAX_SIZE}"):
+            theta_ab(MAX_SIZE + 1, 0, 1)
 
 
 class TestFiveSet:
