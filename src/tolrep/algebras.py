@@ -14,7 +14,14 @@ which takes a code at that position and codes at all other positions but
 one to the row of images over that free position.  For a binary operation
 these are the row and, unless it is commutative, the column of images of
 each code.  The rows are slices of one flat image table, bytes while the
-codes fit in a byte.  A position is kept unless a permutation of the
+codes fit in a byte.  The image of codes with first components a and
+second components b is x * n + y, with x the image of a and y that of b,
+so the flat table is built as the sum of two integers whose bytes list
+the x * n and the y, width bytes to an entry (one while the codes fit in
+a byte, else two): as x * n + y <= n * n - 1 < 256 ** width, no entry
+carries into the next.  An operation whose plan would hold more than
+MAX_PLAN_ENTRIES image codes raises BudgetExceeded before anything is
+built.  A position is kept unless a permutation of the
 arguments that leaves the operation unchanged sends it to an earlier
 position: its images would repeat that position's.  The closure kernel is
 semi-naive (as in Datalog fixpoint evaluation): its code list is a FIFO
@@ -29,10 +36,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain, filterfalse, islice, permutations, product
-from operator import add, itemgetter
+from operator import itemgetter
+from sys import byteorder
 from typing import Iterable, NamedTuple
 
-from .errors import DimensionError
+from .errors import BudgetExceeded, DimensionError
 from .relations import BinRel, classify_shape
 
 __all__ = [
@@ -47,6 +55,9 @@ __all__ = [
 ]
 
 CLOSURE_MODES = ("reflexive", "reflexive-symmetric")
+
+# The most image codes one operation's kernel plan may hold: m ** arity.
+MAX_PLAN_ENTRIES = 2 ** 20
 
 
 def _read_only(self, name, *value):
@@ -188,15 +199,20 @@ def _square_tables(algebra: Algebra) -> _Plan:
     _position_tables, so a commutative binary operation has no cols and a
     fully symmetric ternary one a single table.  Rows are bytes while the
     m = n * n codes fit in a byte (n <= 16), and tuples beyond.  An
-    operation's plan holds m ** arity image codes: a binary one at n = 17
-    gets tuple rows, while a ternary one there would need over 24 million,
-    out of reach already.
+    operation's plan holds m ** arity image codes, so before anything is
+    built, an operation past MAX_PLAN_ENTRIES raises BudgetExceeded: that
+    admits binary operations up to n = 32 and ternary ones up to n = 10.
     """
     n = algebra.n
     m = n * n
-    # Both scratch tables take m entries, so skip them when nothing reads them.
-    decomp = [divmod(c, n) for c in range(m)] if algebra.ops else ()
+    for op in algebra.ops:
+        if m ** op.arity > MAX_PLAN_ENTRIES:
+            raise BudgetExceeded(
+                f"operation {op.name!r} of arity {op.arity} on {n} elements needs "
+                f"{m ** op.arity} kernel plan entries, past the bound of {MAX_PLAN_ENTRIES}")
     has_unary = any(op.arity == 1 for op in algebra.ops)
+    # Both scratch tables take m entries, so skip them when nothing reads them.
+    decomp = [divmod(c, n) for c in range(m)] if has_unary else ()
     unary = [{} for _ in range(m)] if has_unary else ()
     tables = []
     for op in algebra.ops:
@@ -205,7 +221,7 @@ def _square_tables(algebra: Algebra) -> _Plan:
             for images, (a, b) in zip(unary, decomp):
                 images[tab[a] * n + tab[b]] = None
         else:
-            tables.append((op.arity, _position_tables(tab, op.arity, n, decomp)))
+            tables.append((op.arity, _position_tables(tab, op.arity, n)))
     return _Plan(tuple(tuple(images) for images in unary), tuple(tables))
 
 
@@ -240,37 +256,65 @@ def _kept_positions(tab, arity, n):
     return tuple(p for p in range(arity) if p not in dropped)
 
 
-def _position_tables(tab, arity, n, decomp):
+def _position_tables(tab, arity, n):
     """The row tables of the kept positions of one operation of arity 2 or more.
 
     The flat image table lists the image codes of all argument tuples of
-    codes in row-major order.  Its row for the leading codes (c_0, ...,
-    c_{k-2}) is built at once from the two n-entry blocks of tab that the
-    first and the second components of those codes select.  Position j of
-    an argument tuple moves its index by stride m ** (k - 1 - j), so each
-    kept position's table is nested slices of the flat table: the row over
-    the free position q is the slice with q's stride, from the start that
-    the fixed positions select, and the rows are then grouped by m, one
-    level per fixed position, innermost first.
+    codes in row-major order.  The image of codes c_j = a_j * n + b_j is
+    x * n + y, with x = tab(a_0, ..., a_{k-1}) and y = tab(b_0, ...,
+    b_{k-1}), so the flat table is the sum of a high table of the x * n
+    and a low table of the y.  Each is built level by level, from the
+    last position out, by joining and repeating blocks: a code's high part
+    repeats over its second component and its low part over its first.
+    Entries are one byte wide while the m = n * n codes fit in a byte and
+    two bytes beyond; both tables are read as one integer each and added.
+    As x * n + y <= m - 1 < 256 ** width, no entry carries into the next,
+    so the sum's bytes are the flat table.  Position j of an argument
+    tuple moves its index by stride m ** (k - 1 - j), so each kept
+    position's table is nested slices of the flat table: the row over the
+    free position q is the slice with q's stride, from the start that the
+    fixed positions select (position 0's rows are the consecutive m-slices),
+    and the rows are then grouped by m, one level per fixed position,
+    innermost first.
     """
     m = n * n
-    blocks = [tab[i:i + n] for i in range(0, len(tab), n)]
-    high = [[x * n for x in block for _ in range(n)] for block in blocks]
-    low = [block * n for block in blocks]
-    heads = [(0, 0)]
+    width = 1 if m <= 256 else 2
+    blocks = range(0, len(tab), n)
+    # Over the last position: per leading first components, each x * n
+    # repeated n times; per leading second components, the block tiled n
+    # times.  Native byte order, as memoryview reads two-byte entries.
+    high = [b"".join([(x * n).to_bytes(width, byteorder) * n for x in tab[i:i + n]])
+            for i in blocks]
+    low = [b"".join([y.to_bytes(width, byteorder) for y in tab[i:i + n]]) * n for i in blocks]
     for _ in range(arity - 1):
-        heads = [(ia * n + a, ib * n + b) for ia, ib in heads for a, b in decomp]
-    image = bytes if m <= 256 else tuple
-    flat = image(chain.from_iterable(map(add, high[ia], low[ib]) for ia, ib in heads))
+        high = [b"".join([block * n for block in high[i:i + n]]) for i in range(0, len(high), n)]
+        low = [b"".join(low[i:i + n]) * n for i in range(0, len(low), n)]
+    [high], [low] = high, low
+    size = len(high)
+    # Each rebinding frees what it replaces, so at most three objects as
+    # large as the flat table are alive at once, and none once it is built.
+    high = int.from_bytes(high, byteorder)
+    low = int.from_bytes(low, byteorder)
+    high += low
+    del low
+    flat = high.to_bytes(size, byteorder)
+    del high
+    if width == 2:
+        flat = memoryview(flat).cast("H")
     strides = [m ** (arity - 1 - j) for j in range(arity)]
     tables = []
     for p in _kept_positions(tab, arity, n):
         q = arity - 1 if p < arity - 1 else arity - 2
-        starts = [0]
-        for j in [p] + [j for j in range(arity) if j not in (p, q)]:
-            starts = [i + c * strides[j] for i in starts for c in range(m)]
+        if p == 0:
+            starts = range(0, len(flat), m)
+        else:
+            starts = [0]
+            for j in [p] + [j for j in range(arity) if j not in (p, q)]:
+                starts = [i + c * strides[j] for i in starts for c in range(m)]
         step = strides[q]
         table = [flat[i:i + step * m:step] for i in starts]
+        if width == 2:
+            table = list(map(tuple, table))
         for _ in range(arity - 1):
             table = [tuple(table[i:i + m]) for i in range(0, len(table), m)]
         tables.append(table[0])

@@ -17,6 +17,7 @@ from helpers import (
 from tolrep import (
     Algebra,
     BinRel,
+    BudgetExceeded,
     DimensionError,
     OperationTable,
     RelationClass,
@@ -26,6 +27,7 @@ from tolrep import (
     corpus_get,
     eval_op,
     expand,
+    find_representation,
     is_compatible,
     subset,
 )
@@ -267,6 +269,46 @@ class TestCompatibility:
         assert is_compatible(alg, BinRel.full(3))
 
 
+def image_codes(op, n):
+    """The image code of every tuple of pair codes under op, in row-major order.
+
+    Read from op.table at the argument tuples of the codes' first and
+    second components.
+    """
+    m = n * n
+    value = dict(zip(product(range(n), repeat=op.arity), op.table))
+    firsts = seconds = [()]
+    for _ in range(op.arity):
+        firsts = [x + (c // n,) for x in firsts for c in range(m)]
+        seconds = [x + (c % n,) for x in seconds for c in range(m)]
+    return [value[x] * n + value[y] for x, y in zip(firsts, seconds)]
+
+
+def assert_row_tables(image, arity, n, kept, tables):
+    """Check an operation's plan tables against its image codes.
+
+    Entry c of the table of kept position p fixes c at p and nests over
+    the positions other than p and q, in order, down to rows over q: the
+    last position, or the one before it when p is last.  Rows are bytes
+    while the n * n codes fit in a byte, and tuples beyond.
+    """
+    m = n * n
+    row = bytes if m <= 256 else tuple
+    strides = [m ** (arity - 1 - j) for j in range(arity)]
+    assert len(tables) == len(kept)
+    for p, by_code in zip(kept, tables):
+        q = arity - 1 if p < arity - 1 else arity - 2
+        order = [p] + [j for j in range(arity) if j not in (p, q)]
+        for fixed in product(range(m), repeat=arity - 1):
+            entry = by_code
+            for c in fixed:
+                assert len(entry) == m
+                entry = entry[c]
+            assert type(entry) is row and len(entry) == m
+            base = sum(c * strides[j] for c, j in zip(fixed, order))
+            assert list(entry) == image[base:base + m * strides[q]:strides[q]]
+
+
 class TestKernelPlan:
     def test_equal_algebras_share_one_plan(self):
         def build():
@@ -308,12 +350,9 @@ class TestKernelPlan:
     @given(algebras(max_n=4, max_arity=4) | symmetric_algebras(), st.data())
     def test_row_tables_hold_componentwise_images(self, alg, data):
         # An operation keeps the least position of each orbit of its
-        # symmetry group, and has one table per kept position p, in order.
-        # Entry c of that table fixes c at p and nests over the positions
-        # other than p and q, in order, down to rows over q: the last
-        # position, or the one before it when p is last.  A dropped
-        # position's images, over any listed codes, are those of the least
-        # position of its orbit.
+        # symmetry group, and has one table per kept position, in order
+        # (see assert_row_tables).  A dropped position's images, over any
+        # listed codes, are those of the least position of its orbit.
         n, m = alg.n, alg.n ** 2
         plan = _square_tables(alg)
         ops = [op for op in alg.ops if op.arity > 1]
@@ -326,31 +365,13 @@ class TestKernelPlan:
             least = [min(perm[p] for perm in group) for p in range(arity)]
             kept = _kept_positions(op.table, arity, n)
             assert kept == tuple(p for p in range(arity) if least[p] == p)
-            assert len(tables) == len(kept)
-
-            # The image of every tuple of codes, in row-major order, built
-            # once from the argument tuples of its first and second components.
-            firsts = seconds = [()]
-            for _ in range(arity):
-                firsts = [x + (c // n,) for x in firsts for c in range(m)]
-                seconds = [x + (c % n,) for x in seconds for c in range(m)]
-            image = [value[x] * n + value[y] for x, y in zip(firsts, seconds)]
+            image = image_codes(op, n)
+            assert_row_tables(image, arity, n, kept, tables)
             strides = [m ** (arity - 1 - j) for j in range(arity)]
 
             def at(codes):
                 return image[sum(c * s for c, s in zip(codes, strides))]
 
-            for p, by_code in zip(kept, tables):
-                q = arity - 1 if p < arity - 1 else arity - 2
-                order = [p] + [j for j in range(arity) if j not in (p, q)]
-                for fixed in product(range(m), repeat=arity - 1):
-                    entry = by_code
-                    for c in fixed:
-                        assert len(entry) == m
-                        entry = entry[c]
-                    assert len(entry) == m
-                    base = sum(c * strides[j] for c, j in zip(fixed, order))
-                    assert list(entry) == image[base:base + m * strides[q]:strides[q]]
             listed = data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=5, unique=True))
             for p in set(range(arity)) - set(kept):
                 for c in listed:
@@ -358,6 +379,57 @@ class TestKernelPlan:
                         return {at(codes) for codes in product(listed, repeat=arity)
                                 if codes[position] == c}
                     assert images_at(p) == images_at(least[p])
+
+    @pytest.mark.parametrize("n, arity, fn, kept", [
+        (7, 3, None, (0,)),  # l7_majority's f
+        (5, 3, lambda x, y, z: (x + 2 * y + z * z) % 5, (0, 1, 2)),
+        (16, 2, lambda x, y: (x + 2 * y) % 16, (0, 1)),
+        (17, 2, lambda x, y: (x + 2 * y) % 17, (0, 1)),
+        (3, 4, lambda x, y, z, w: (x * y + z + 2 * w) % 3, (0, 2, 3)),
+    ], ids=["l7_majority", "ternary-5", "binary-16", "binary-17", "arity-4"])
+    def test_row_tables_hold_componentwise_images_past_small_n(self, n, arity, fn, kept):
+        # Universe sizes and arities the hypothesis test above does not
+        # draw: two-byte entries and tuple rows from n = 17, and strided
+        # rows at every position of an operation without symmetries.
+        if fn is None:
+            alg = corpus_get("l7_majority").algebra
+        else:
+            alg = Algebra(n, (OperationTable.from_function("f", arity, n, fn),))
+        op = alg.op("f")
+        assert _kept_positions(op.table, arity, n) == kept
+        [(_, tables)] = _square_tables(alg).tables
+        assert_row_tables(image_codes(op, n), arity, n, kept, tables)
+
+    def test_plan_past_the_entry_bound_is_refused(self):
+        # A binary plan grows as n ** 4: chain(33) needs 33 ** 4 > 2 ** 20 entries.
+        alg = corpus_get("chain(33)").algebra
+        theta = BinRel.from_pairs(33, [(0, 1), (1, 0)], reflexive=True)
+        message = ("operation 'join' of arity 2 on 33 elements needs 1185921 kernel plan "
+                   "entries, past the bound of 1048576")
+        calls = [lambda: closure(alg, [], "reflexive"),
+                 lambda: is_compatible(alg, theta),
+                 lambda: find_representation(alg, theta)]
+        for call in calls:
+            with pytest.raises(BudgetExceeded) as info:
+                call()
+            assert str(info.value) == message
+
+    def test_entry_bound_admits_plans_up_to_it(self, monkeypatch):
+        monkeypatch.setattr("tolrep.algebras.MAX_PLAN_ENTRIES", 81)
+        binary = Algebra(3, (OperationTable.from_function("bound_b", 2, 3, max),))
+        assert len(_square_tables(binary).tables) == 1  # 9 ** 2 = 81 entries
+        past = [Algebra(3, (OperationTable.from_function("bound_t", 3, 3, lambda *x: max(x)),)),
+                Algebra(10, (OperationTable("bound_u", 1, tuple(range(10))),))]  # 729 and 100
+        for alg in past:
+            with pytest.raises(BudgetExceeded, match=f"operation '{alg.ops[0].name}' of arity "):
+                _square_tables(alg)
+
+    def test_cache_interface_that_the_benchmark_tracer_uses(self):
+        # perfbench's tracer times plan builds by caching _square_tables.__wrapped__
+        # afresh, and its load_package empties every cache_clear before a re-import.
+        assert callable(_square_tables.__wrapped__)
+        assert callable(_square_tables.cache_clear)
+        assert callable(_square_tables.cache_info)
 
     @pytest.mark.parametrize("name", ["chain(4)", "n5", "s7_semilattice"])
     def test_commutative_operations_keep_rows_only(self, name):

@@ -197,6 +197,16 @@ class TestCheckCommand:
         path = write(tmp_path, text)
         assert run(["check", path]) == 2
 
+    def test_kernel_plan_past_its_bound(self, tmp_path):
+        # chain(33)'s binary operations would need 33 ** 4 kernel plan
+        # entries: refused before anything is built, as a budget.
+        path = corpus_file(tmp_path, "chain(33)")
+        proc = run_python("-m", "tolrep", "check", path)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == ("error: operation 'join' of arity 2 on 33 elements needs "
+                               "1185921 kernel plan entries, past the bound of 1048576\n")
+
     def test_nullary_operation_rejected_with_line(self, tmp_path, capsys):
         path = write(tmp_path, "algebra a\nsize 2\nop c 0\n1\nrel r\n")
         assert run(["check", path]) == 2
