@@ -9,18 +9,21 @@ exactly when its code set is closed under those componentwise operations.
 
 The componentwise tables are built once per algebra into a kernel plan:
 for each code, the distinct images under all unary operations merged; and
-for each operation of arity k >= 2, one table per kept argument position,
-which takes a code at that position and codes at all other positions but
-one to the row of images over that free position.  For a binary operation
-these are the row and, unless it is commutative, the column of images of
-each code.  The rows are slices of one flat image table, bytes while the
-codes fit in a byte.  The image of codes with first components a and
-second components b is x * n + y, with x the image of a and y that of b,
-so the flat table is built as the sum of two integers whose bytes list
-the x * n and the y, width bytes to an entry (one while the codes fit in
-a byte, else two): as x * n + y <= n * n - 1 < 256 ** width, no entry
+for each operation of arity k >= 2, one row table per kept argument
+position p.  It is position 0's row table of the operation with argument
+p moved first and the others kept in order: it takes a code at p and
+codes at the next k - 2 positions to the row of images over the last
+one.  For a binary operation these are the row and, unless it is
+commutative, the column of images of each code.  Position 0's rows are
+the consecutive slices of one flat image table, bytes while the codes
+fit in a byte.  The image of codes with first components a and second
+components b is x * n + y, with x the image of a and y that of b, so the
+flat table is built as the sum of two integers whose bytes list the
+x * n and the y, width bytes to an entry (one while the codes fit in a
+byte, else two): as x * n + y <= n * n - 1 < 256 ** width, no entry
 carries into the next.  An operation whose plan would hold more than
-MAX_PLAN_ENTRIES image codes raises BudgetExceeded before anything is
+MAX_PLAN_ENTRIES image codes, or whose symmetry search would look up
+more table entries than that, raises BudgetExceeded before anything is
 built.  A position is kept unless a permutation of the
 arguments that leaves the operation unchanged sends it to an earlier
 position: its images would repeat that position's.  The closure kernel is
@@ -41,7 +44,7 @@ from sys import byteorder
 from typing import Iterable, NamedTuple
 
 from .errors import BudgetExceeded, DimensionError
-from .relations import BinRel, classify_shape
+from .relations import BinRel, _bits, classify_shape
 
 __all__ = [
     "OperationTable",
@@ -56,7 +59,9 @@ __all__ = [
 
 CLOSURE_MODES = ("reflexive", "reflexive-symmetric")
 
-# The most image codes one operation's kernel plan may hold: m ** arity.
+# The most image codes one operation's kernel plan may hold, m ** arity,
+# and the most table entries its symmetry search may look up,
+# arity! * n ** arity.
 MAX_PLAN_ENTRIES = 2 ** 20
 
 
@@ -115,7 +120,11 @@ class Algebra:
         for op in ops:
             if op.name in by_name:
                 raise ValueError(f"duplicate operation name {op.name!r}")
-            want = n ** op.arity
+            # Past the bit length of len(table), n ** arity exceeds it, so
+            # the power is not taken: a huge arity would build a huge
+            # integer just to be refused.
+            want = (f"{n} ** {op.arity}" if n > 1 and op.arity > len(op.table).bit_length()
+                    else n ** op.arity)
             if len(op.table) != want:
                 raise ValueError(
                     f"operation {op.name!r} expects {want} table entries, got {len(op.table)}"
@@ -175,15 +184,15 @@ class _Plan(NamedTuple):
     unary[c] lists the distinct images of code c under all unary
     operations at once (unary is empty when there are none).  tables holds
     (arity, tables) for every operation of arity k >= 2, in operation
-    order, with one table per kept position p, in position order.  Each
-    table takes code c to the entry that fixes c at p and nests, in
-    position order, one level of m entries per position other than p and
-    a free position q (the last one, or the one before it when p is last);
-    its innermost entries are rows of the m image codes over q.  So a
-    binary operation's tables are rows, with rows[c][d] the image of (c, d),
-    and, unless it is commutative, cols, with cols[c][d] the image of
-    (d, c).  _kept_positions says which positions are kept; position 0
-    always is.
+    order, with one table per kept position p, in position order.  Each is
+    position 0's table of the operation with argument p moved first and
+    the others kept in order: it takes code c to the entry that fixes c at
+    p and nests one level of m entries per following position but the
+    last, whose innermost entries are rows of the m image codes over the
+    last.  So a binary operation's tables are rows, with rows[c][d] the
+    image of (c, d), and, unless it is commutative, cols, with cols[c][d]
+    the image of (d, c).  _kept_positions says which positions are kept;
+    position 0 always is.
     """
 
     unary: tuple[tuple[int, ...], ...]
@@ -195,13 +204,16 @@ def _square_tables(algebra: Algebra) -> _Plan:
     """The kernel plan: componentwise tables on pair codes.
 
     Unary images are merged from the components of each code; every other
-    operation gets the row tables of its kept positions from
-    _position_tables, so a commutative binary operation has no cols and a
-    fully symmetric ternary one a single table.  Rows are bytes while the
-    m = n * n codes fit in a byte (n <= 16), and tuples beyond.  An
-    operation's plan holds m ** arity image codes, so before anything is
-    built, an operation past MAX_PLAN_ENTRIES raises BudgetExceeded: that
-    admits binary operations up to n = 32 and ternary ones up to n = 10.
+    operation gets one row table from _row_table per kept position, so a
+    commutative binary operation has no cols and a fully symmetric
+    ternary one a single table.  Rows are bytes while the m = n * n codes
+    fit in a byte (n <= 16), and tuples beyond.  An operation's plan
+    holds m ** arity image codes, and its symmetry search looks up n **
+    arity entries for each of the arity! argument orders.  So before
+    anything is built, an operation past MAX_PLAN_ENTRIES on either count
+    raises BudgetExceeded: that admits binary operations up to n = 32,
+    ternary ones up to n = 10, and on n = 2 and n = 1 arities up to 7
+    and 9.
     """
     n = algebra.n
     m = n * n
@@ -210,19 +222,40 @@ def _square_tables(algebra: Algebra) -> _Plan:
             raise BudgetExceeded(
                 f"operation {op.name!r} of arity {op.arity} on {n} elements needs "
                 f"{m ** op.arity} kernel plan entries, past the bound of {MAX_PLAN_ENTRIES}")
+        lookups = 1  # arity! * n ** arity, stopped once past the bound
+        for j in range(1, op.arity + 1):
+            lookups *= j * n
+            if lookups > MAX_PLAN_ENTRIES:
+                raise BudgetExceeded(
+                    f"operation {op.name!r} of arity {op.arity} on {n} elements needs "
+                    f"{op.arity}! * {n} ** {op.arity} table lookups to find its "
+                    f"symmetries, past the bound of {MAX_PLAN_ENTRIES}")
     has_unary = any(op.arity == 1 for op in algebra.ops)
     # Both scratch tables take m entries, so skip them when nothing reads them.
     decomp = [divmod(c, n) for c in range(m)] if has_unary else ()
     unary = [{} for _ in range(m)] if has_unary else ()
     tables = []
     for op in algebra.ops:
-        tab = op.table
-        if op.arity == 1:
+        tab, arity = op.table, op.arity
+        if arity == 1:
             for images, (a, b) in zip(unary, decomp):
                 images[tab[a] * n + tab[b]] = None
         else:
-            tables.append((op.arity, _position_tables(tab, op.arity, n)))
+            # Each kept position p, moved first, the others kept in order.
+            orders = ([p, *range(p), *range(p + 1, arity)] for p in _kept_positions(tab, arity, n))
+            tables.append((arity, tuple(_row_table(_permuted(tab, arity, n, order), arity, n)
+                                        for order in orders)))
     return _Plan(tuple(tuple(images) for images in unary), tuple(tables))
+
+
+def _permuted(tab, arity, n, order):
+    """The table of x -> tab(y) with y[order[j]] = x[j]: argument order[j] moved to j."""
+    # Position j of x moves the index into tab by order[j]'s stride.
+    index = [0]
+    for p in order:
+        stride = n ** (arity - 1 - p)
+        index = [i + a * stride for i in index for a in range(n)]
+    return tuple(map(tab.__getitem__, index))
 
 
 def _kept_positions(tab, arity, n):
@@ -244,20 +277,15 @@ def _kept_positions(tab, arity, n):
         lower = {p for p in range(arity) if perm[p] < p}
         if lower <= dropped:  # the identity, or nothing new to drop
             continue
-        # The index of the permuted argument tuple, for each x in row-major order.
-        strides = [0] * arity
-        for j, p in enumerate(perm):
-            strides[p] = n ** (arity - 1 - j)
-        index = [0]
-        for stride in strides:
-            index = [i + a * stride for i in index for a in range(n)]
-        if tuple(map(tab.__getitem__, index)) == tab:
+        # _permuted gives x -> tab(x[s(0)], ..., x[s(k-1)]) for s the
+        # inverse of perm, a symmetry exactly when perm is one.
+        if _permuted(tab, arity, n, perm) == tab:
             dropped |= lower
     return tuple(p for p in range(arity) if p not in dropped)
 
 
-def _position_tables(tab, arity, n):
-    """The row tables of the kept positions of one operation of arity 2 or more.
+def _row_table(tab, arity, n):
+    """Position 0's row table of one operation of arity 2 or more.
 
     The flat image table lists the image codes of all argument tuples of
     codes in row-major order.  The image of codes c_j = a_j * n + b_j is
@@ -269,13 +297,10 @@ def _position_tables(tab, arity, n):
     Entries are one byte wide while the m = n * n codes fit in a byte and
     two bytes beyond; both tables are read as one integer each and added.
     As x * n + y <= m - 1 < 256 ** width, no entry carries into the next,
-    so the sum's bytes are the flat table.  Position j of an argument
-    tuple moves its index by stride m ** (k - 1 - j), so each kept
-    position's table is nested slices of the flat table: the row over the
-    free position q is the slice with q's stride, from the start that the
-    fixed positions select (position 0's rows are the consecutive m-slices),
-    and the rows are then grouped by m, one level per fixed position,
-    innermost first.
+    so the sum's bytes are the flat table.  Its consecutive m-slices are
+    the rows over the last position, grouped by m once per other position,
+    innermost first.  Every other kept position's table is this table of
+    the operation with that position moved first.
     """
     m = n * n
     width = 1 if m <= 256 else 2
@@ -301,24 +326,12 @@ def _position_tables(tab, arity, n):
     del high
     if width == 2:
         flat = memoryview(flat).cast("H")
-    strides = [m ** (arity - 1 - j) for j in range(arity)]
-    tables = []
-    for p in _kept_positions(tab, arity, n):
-        q = arity - 1 if p < arity - 1 else arity - 2
-        if p == 0:
-            starts = range(0, len(flat), m)
-        else:
-            starts = [0]
-            for j in [p] + [j for j in range(arity) if j not in (p, q)]:
-                starts = [i + c * strides[j] for i in starts for c in range(m)]
-        step = strides[q]
-        table = [flat[i:i + step * m:step] for i in starts]
-        if width == 2:
-            table = list(map(tuple, table))
-        for _ in range(arity - 1):
-            table = [tuple(table[i:i + m]) for i in range(0, len(table), m)]
-        tables.append(table[0])
-    return tuple(tables)
+    table = [flat[i:i + m] for i in range(0, len(flat), m)]
+    if width == 2:
+        table = list(map(tuple, table))
+    for _ in range(arity - 1):
+        table = [tuple(table[i:i + m]) for i in range(0, len(table), m)]
+    return table[0]
 
 
 def _saturate(plan, member, codes, start):
@@ -500,9 +513,22 @@ def classify_relation(algebra: Algebra, rel: BinRel) -> RelationClass:
                          admissible, tolerance, tolerance and shape.transitive)
 
 
+def _reflexive_symmetric(algebra: Algebra, rel: BinRel) -> bool:
+    """Is rel reflexive and symmetric?  DimensionError unless it has the algebra's size.
+
+    Tested on rel's rows, with no converse built: each row holds its own
+    element, and each element b of row a has a in its row.
+    """
+    if rel.n != algebra.n:
+        raise DimensionError(f"relation lives on {rel.n} elements, algebra on {algebra.n}")
+    rows = rel.rows
+    return all(row >> a & 1 and all(rows[b] >> a & 1 for b in _bits(row))
+               for a, row in enumerate(rows))
+
+
 def _require_tolerance(algebra: Algebra, rel: BinRel, what: str = "relation") -> None:
     """Raise ValueError, naming the relation by what, unless rel is a tolerance."""
-    if not classify_relation(algebra, rel).tolerance:
+    if not (_reflexive_symmetric(algebra, rel) and is_compatible(algebra, rel)):
         raise ValueError(f"{what} is not a tolerance of the algebra "
                          "(needs reflexivity, symmetry and compatibility)")
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import islice
 from typing import Iterator, NamedTuple, Optional
 
-from .algebras import Algebra, _grow, _require_tolerance, is_compatible
+from .algebras import Algebra, _grow, _reflexive_symmetric, _require_tolerance, is_compatible
 from .errors import BudgetExceeded
 from .relations import BinRel, _bits, compose, converse, intersect, subset, union
 
@@ -149,15 +149,13 @@ def _certified(algebra: Algebra, theta: BinRel, search):
     """search()'s result, raising as _require_tolerance does unless theta is a tolerance.
 
     The searches assume theta has the algebra's size and is reflexive and
-    symmetric, so those are tested first, on theta's rows.  A witness
+    symmetric, so _reflexive_symmetric tests those first.  A witness
     proves the rest, so compatibility, the |theta| ** arity scan, is left
     to _require_tolerance, which runs only when search() finds no witness
     or raises BudgetExceeded (checked before re-raising).  A non-tolerance
     thus always gets the same error.
     """
-    rows = theta.rows
-    if theta.n != algebra.n or not all(row >> a & 1 and all(rows[b] >> a & 1 for b in _bits(row))
-                                       for a, row in enumerate(rows)):
+    if not _reflexive_symmetric(algebra, theta):
         _require_tolerance(algebra, theta)  # always raises here
     try:
         found = search()

@@ -142,6 +142,12 @@ def parse_document(text: str) -> Document:
             arity = _ints(tokens[2:3])
             if arity is None or arity[0] < 1:
                 fail(lineno, f"bad arity {tokens[2]!r}")
+            # A table of n ** arity entries takes at least that many
+            # characters, so an arity at or past the bit length of the
+            # text cannot fit; refused before the power is taken.
+            if n > 1 and arity[0] >= len(text).bit_length():
+                fail(lineno, f"arity {arity[0]} is too large: {n} ** {arity[0]} table "
+                             "entries cannot fit in the document")
             if any(op.name == tokens[1] for op in ops):  # earlier tables are complete
                 fail(lineno, f"duplicate operation name {tokens[1]!r}")
             pending = {"name": tokens[1], "arity": arity[0],

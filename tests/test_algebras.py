@@ -31,7 +31,12 @@ from tolrep import (
     is_compatible,
     subset,
 )
-from tolrep.algebras import _grow, _kept_positions, _square_tables
+from tolrep.algebras import (
+    _grow,
+    _kept_positions,
+    _reflexive_symmetric,
+    _square_tables,
+)
 
 
 def two_chain():
@@ -47,6 +52,14 @@ class TestConstruction:
     def test_rejects_wrong_table_length(self):
         with pytest.raises(ValueError):
             Algebra(2, (OperationTable("f", 2, (0, 1, 0)),))
+
+    def test_rejects_huge_arity_without_taking_the_power(self):
+        # 2 ** 100000 has more digits than int-to-str conversion allows
+        with pytest.raises(ValueError, match=r"^operation 'f' expects 2 \*\* 100000 table "
+                                             "entries, got 1$"):
+            Algebra(2, (OperationTable("f", 100000, (0,)),))
+        with pytest.raises(ValueError, match="^operation 'f' expects 8 table entries, got 7$"):
+            Algebra(2, (OperationTable("f", 3, (0,) * 7),))
 
     def test_rejects_out_of_range_values(self):
         with pytest.raises(ValueError):
@@ -424,6 +437,31 @@ class TestKernelPlan:
             with pytest.raises(BudgetExceeded, match=f"operation '{alg.ops[0].name}' of arity "):
                 _square_tables(alg)
 
+    def test_symmetry_search_past_the_bound_is_refused(self):
+        # On one element every plan holds one entry, but the symmetry
+        # search would try all 12! argument orders.
+        alg = Algebra(1, (OperationTable("f", 12, (0,)),))
+        theta = BinRel.diagonal(1)
+        message = ("operation 'f' of arity 12 on 1 elements needs 12! * 1 ** 12 table "
+                   "lookups to find its symmetries, past the bound of 1048576")
+        calls = [lambda: closure(alg, [], "reflexive"),
+                 lambda: is_compatible(alg, theta),
+                 lambda: classify_relation(alg, theta)]
+        for call in calls:
+            with pytest.raises(BudgetExceeded) as info:
+                call()
+            assert str(info.value) == message
+        # 8! * 2 ** 8 lookups, though the plan itself would hold only 4 ** 8
+        with pytest.raises(BudgetExceeded, match="^operation 'g' of arity 8 on 2 elements "):
+            _square_tables(Algebra(2, (OperationTable("g", 8, (0,) * 256),)))
+
+    def test_symmetry_bound_admits_searches_up_to_it(self, monkeypatch):
+        monkeypatch.setattr("tolrep.algebras.MAX_PLAN_ENTRIES", 24)
+        at_bound = Algebra(1, (OperationTable("f", 4, (0,)),))  # 4! * 1 ** 4 = 24
+        assert len(_square_tables(at_bound).tables) == 1
+        with pytest.raises(BudgetExceeded, match=r"needs 5! \* 1 \*\* 5 table lookups"):
+            _square_tables(Algebra(1, (OperationTable("f", 5, (0,)),)))
+
     def test_cache_interface_that_the_benchmark_tracer_uses(self):
         # perfbench's tracer times plan builds by caching _square_tables.__wrapped__
         # afresh, and its load_package empties every cache_clear before a re-import.
@@ -517,6 +555,12 @@ class TestClassifyRelation:
     def test_size_mismatch(self):
         with pytest.raises(DimensionError, match="relation lives on 3 elements, algebra on 2"):
             classify_relation(two_chain(), BinRel.diagonal(3))
+
+    @given(algebra_with_rel())
+    def test_reflexive_symmetric_matches_the_shape(self, case):
+        alg, rel = case
+        shape = classify_shape(rel)
+        assert _reflexive_symmetric(alg, rel) == (shape.reflexive and shape.symmetric)
 
 
 class TestExpand:

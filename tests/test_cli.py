@@ -132,6 +132,19 @@ class TestDocumentParsing:
         with pytest.raises(DocumentError, match=str(MAX_SIZE)):
             parse_document("algebra a\nsize 1000000\nrel r\n")
 
+    def test_arity_bound(self):
+        # refused on the op line, before size ** arity is taken
+        with pytest.raises(DocumentError, match="arity 100000 is too large") as exc:
+            parse_document("algebra a\nsize 7\nop f 100000\n")
+        assert exc.value.line == 3
+        with pytest.raises(DocumentError) as exc:
+            parse_document("algebra a\nsize 2\nop f 6\n" + "0 " * 19)  # 62 characters
+        assert exc.value.line == 3
+        # a table that the text holds still parses, and one element needs one entry
+        table = " ".join("0" * 1024)
+        assert parse_document(f"algebra a\nsize 2\nop f 10\n{table}\n").algebra.op("f").arity == 10
+        assert parse_document("algebra a\nsize 1\nop f 100000\n0\n").algebra.op("f").arity == 100000
+
     def test_relation_of_wrong_size(self):
         with pytest.raises(ValueError, match="lives on 3 elements"):
             Document("a", Algebra(2), {"r": BinRel.diagonal(3)})
@@ -206,6 +219,17 @@ class TestCheckCommand:
         assert proc.stdout == ""
         assert proc.stderr == ("error: operation 'join' of arity 2 on 33 elements needs "
                                "1185921 kernel plan entries, past the bound of 1048576\n")
+
+    def test_symmetry_search_past_its_bound(self, tmp_path):
+        # One element, so the plan is one entry, but finding the symmetries
+        # would try 12! argument orders: refused at once, as a budget.
+        path = write(tmp_path, "algebra a\nsize 1\nop f 12\n0\nrel theta\n")
+        proc = run_python("-m", "tolrep", "check", path)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == ("error: operation 'f' of arity 12 on 1 elements needs 12! * "
+                               "1 ** 12 table lookups to find its symmetries, past the bound "
+                               "of 1048576\n")
 
     def test_nullary_operation_rejected_with_line(self, tmp_path, capsys):
         path = write(tmp_path, "algebra a\nsize 2\nop c 0\n1\nrel r\n")
