@@ -526,10 +526,10 @@ def _reflexive_symmetric(algebra: Algebra, rel: BinRel) -> bool:
                for a, row in enumerate(rows))
 
 
-def _require_tolerance(algebra: Algebra, rel: BinRel, what: str = "relation") -> None:
-    """Raise ValueError, naming the relation by what, unless rel is a tolerance."""
+def _require_tolerance(algebra: Algebra, rel: BinRel) -> None:
+    """Raise ValueError unless rel is a tolerance of the algebra."""
     if not (_reflexive_symmetric(algebra, rel) and is_compatible(algebra, rel)):
-        raise ValueError(f"{what} is not a tolerance of the algebra "
+        raise ValueError("relation is not a tolerance of the algebra "
                          "(needs reflexivity, symmetry and compatibility)")
 
 

@@ -24,7 +24,7 @@ from .corpus import corpus_get, corpus_names
 from .document import Document, _rel_block, parse_document, print_document
 from .errors import BudgetExceeded, DocumentError
 from .relations import BinRel, compose
-from .terms import eval_term, is_regular, parse_term, term_variables
+from .terms import eval_term, is_regular, parse_term
 
 __all__ = ["run", "main"]
 
@@ -166,9 +166,6 @@ def _cmd_term_eval(args, doc: Document) -> int:
             raise ValueError(f"bad binding {binding!r}; expected VAR=REL")
         var, rel_name = binding.split("=", 1)
         env[var] = _pick_relation(doc, rel_name)[1]
-    missing = sorted(term_variables(term) - set(env))
-    if missing:
-        raise ValueError(f"unbound term variables: {', '.join(missing)}")
     if args.square:
         env = {name: compose(rel, rel) for name, rel in env.items()}
     result = eval_term(term, env)

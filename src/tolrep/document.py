@@ -66,117 +66,120 @@ def _ints(tokens):
         return None
 
 
+_STRAY = "values outside an op or rel block"
+
+
 def parse_document(text: str) -> Document:
-    """Parse the document format; all failures carry the offending line."""
-    name = None
-    n = None
-    ops: list[OperationTable] = []
-    pending: dict | None = None
-    relations: dict[str, list[int]] = {}
-    current_rel: str | None = None
+    """Parse the document format; all failures carry the offending line.
 
-    def fail(lineno, message):
-        raise DocumentError(lineno, message)
-
-    def take(lineno, values):
-        """Add table entries to the pending operation; finish it when full."""
-        nonlocal pending
-        for v in values:
-            if not (0 <= v < n):
-                fail(lineno, f"value {v} outside the universe of size {n}")
-        pending["values"].extend(values)
-        if len(pending["values"]) > pending["want"]:
-            fail(lineno, f"operation {pending['name']!r} expects "
-                         f"{pending['want']} entries, got more")
-        if len(pending["values"]) == pending["want"]:
-            ops.append(OperationTable(pending["name"], pending["arity"],
-                                      tuple(pending["values"])))
-            pending = None
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    The non-blank lines fall into blocks, each a keyword line and the
+    integer lines below it, and each block is checked whole, in order.
+    """
+    lines = text.splitlines()
+    blocks: list[tuple[int, list[str], list[tuple[int, list[int]]]]] = []
+    for lineno, raw in enumerate(lines, start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
         values = _ints(tokens)
-        if values is not None:
-            if pending is not None:
-                take(lineno, values)
-                continue
-            if current_rel is not None:
-                if len(values) != 2:
-                    fail(lineno, "expected a pair of two integers")
-                a, b = values
-                if not (0 <= a < n and 0 <= b < n):
-                    fail(lineno, f"pair ({a}, {b}) outside the universe of size {n}")
-                relations[current_rel][a] |= 1 << b
-                continue
-            fail(lineno, "values outside an op or rel block")
+        if values is None:
+            blocks.append((lineno, tokens, []))
+        elif blocks:
+            blocks[-1][2].append((lineno, values))
+        else:
+            raise DocumentError(lineno, _STRAY)
+    name = n = None
+    ops: dict[str, OperationTable] = {}
+    relations: dict[str, list[int]] = {}
+    # A table cut short is reported where its block ends: at the next
+    # block's keyword line, or at the line after the last one.
+    ends = [block[0] for block in blocks[1:]] + [len(lines) + 1]
+    for (lineno, tokens, data), end in zip(blocks, ends):
         keyword = tokens[0]
-        if pending is not None:
-            fail(lineno, f"operation {pending['name']!r} expects {pending['want']} "
-                         f"entries, got {len(pending['values'])}")
-        current_rel = None
         if keyword == "algebra":
             if name is not None:
-                fail(lineno, "duplicate algebra line")
+                raise DocumentError(lineno, "duplicate algebra line")
             if len(tokens) != 2:
-                fail(lineno, "expected: algebra NAME")
+                raise DocumentError(lineno, "expected: algebra NAME")
             name = tokens[1]
         elif keyword == "size":
             if name is None:
-                fail(lineno, "size must follow the algebra line")
+                raise DocumentError(lineno, "size must follow the algebra line")
             if n is not None:
-                fail(lineno, "duplicate size line")
+                raise DocumentError(lineno, "duplicate size line")
             got = _ints(tokens[1:])
             if len(tokens) != 2 or got is None or got[0] <= 0:
-                fail(lineno, "expected: size N with N positive")
+                raise DocumentError(lineno, "expected: size N with N positive")
             if got[0] > MAX_SIZE:
-                fail(lineno, f"size {got[0]} exceeds the largest supported universe, {MAX_SIZE}")
+                raise DocumentError(lineno, f"size {got[0]} exceeds the largest "
+                                            f"supported universe, {MAX_SIZE}")
             n = got[0]
         elif keyword == "op":
-            if n is None:
-                fail(lineno, "op must follow the size line")
-            if len(tokens) < 3:
-                fail(lineno, "expected: op NAME ARITY")
-            arity = _ints(tokens[2:3])
-            if arity is None or arity[0] < 1:
-                fail(lineno, f"bad arity {tokens[2]!r}")
-            # A table of n ** arity entries takes at least that many
-            # characters, so an arity at or past the bit length of the
-            # text cannot fit; refused before the power is taken.
-            if n > 1 and arity[0] >= len(text).bit_length():
-                fail(lineno, f"arity {arity[0]} is too large: {n} ** {arity[0]} table "
-                             "entries cannot fit in the document")
-            if any(op.name == tokens[1] for op in ops):  # earlier tables are complete
-                fail(lineno, f"duplicate operation name {tokens[1]!r}")
-            pending = {"name": tokens[1], "arity": arity[0],
-                       "want": n ** arity[0], "values": []}
-            inline = _ints(tokens[3:])
-            if inline is None:
-                fail(lineno, "table entries must be integers")
-            take(lineno, inline)
+            table, data = _op_table(lineno, tokens, data, end, n, ops, len(text))
+            ops[table.name] = table
         elif keyword == "rel":
             if n is None:
-                fail(lineno, "rel must follow the size line")
+                raise DocumentError(lineno, "rel must follow the size line")
             if len(tokens) != 2:
-                fail(lineno, "expected: rel NAME")
+                raise DocumentError(lineno, "expected: rel NAME")
             if tokens[1] in relations:
-                fail(lineno, f"duplicate relation name {tokens[1]!r}")
-            relations[tokens[1]] = [1 << a for a in range(n)]
-            current_rel = tokens[1]
+                raise DocumentError(lineno, f"duplicate relation name {tokens[1]!r}")
+            rows = relations[tokens[1]] = [1 << a for a in range(n)]
+            for at, pair in data:
+                if len(pair) != 2:
+                    raise DocumentError(at, "expected a pair of two integers")
+                a, b = pair
+                if not (0 <= a < n and 0 <= b < n):
+                    raise DocumentError(at, f"pair ({a}, {b}) outside the universe of size {n}")
+                rows[a] |= 1 << b
+            continue  # every data line was a pair
         else:
-            fail(lineno, f"unknown keyword {keyword!r}")
-    if pending is not None:
-        fail(len(text.splitlines()) + 1,
-             f"operation {pending['name']!r} expects {pending['want']} entries, "
-             f"got {len(pending['values'])}")
+            raise DocumentError(lineno, f"unknown keyword {keyword!r}")
+        if data:
+            raise DocumentError(data[0][0], _STRAY)
     if name is None:
-        fail(1, "missing algebra line")
+        raise DocumentError(1, "missing algebra line")
     if n is None:
-        fail(1, "missing size line")
-    return Document(name, Algebra(n, tuple(ops)),
+        raise DocumentError(1, "missing size line")
+    return Document(name, Algebra(n, tuple(ops.values())),
                     {rname: BinRel(n, rows) for rname, rows in relations.items()})
+
+
+def _op_table(lineno, tokens, data, end, n, ops, text_size):
+    """The table of an op block, and the block's data lines past the table."""
+    if n is None:
+        raise DocumentError(lineno, "op must follow the size line")
+    if len(tokens) < 3:
+        raise DocumentError(lineno, "expected: op NAME ARITY")
+    arity = _ints(tokens[2:3])
+    if arity is None or arity[0] < 1:
+        raise DocumentError(lineno, f"bad arity {tokens[2]!r}")
+    arity = arity[0]
+    # A table of n ** arity entries takes at least that many characters,
+    # so an arity at or past the bit length of the text cannot fit;
+    # refused before the power is taken.
+    if n > 1 and arity >= text_size.bit_length():
+        raise DocumentError(lineno, f"arity {arity} is too large: {n} ** {arity} table "
+                                    "entries cannot fit in the document")
+    if tokens[1] in ops:
+        raise DocumentError(lineno, f"duplicate operation name {tokens[1]!r}")
+    inline = _ints(tokens[3:])
+    if inline is None:
+        raise DocumentError(lineno, "table entries must be integers")
+    want = n ** arity
+    table: list[int] = []
+    rows = [(lineno, inline), *data]
+    for i, (at, row) in enumerate(rows, start=1):
+        for v in row:
+            if not 0 <= v < n:
+                raise DocumentError(at, f"value {v} outside the universe of size {n}")
+        table += row
+        if len(table) > want:
+            raise DocumentError(at, f"operation {tokens[1]!r} expects {want} entries, got more")
+        if len(table) == want:
+            return OperationTable(tokens[1], arity, tuple(table)), rows[i:]
+    raise DocumentError(end, f"operation {tokens[1]!r} expects {want} entries, "
+                             f"got {len(table)}")
 
 
 def print_document(doc: Document) -> str:

@@ -20,9 +20,8 @@ from __future__ import annotations
 
 from typing import NamedTuple, Union
 
-from .algebras import Algebra, _require_tolerance
 from .errors import DimensionError, TermSyntaxError
-from .relations import BinRel, compose, intersect, subset
+from .relations import BinRel, compose, intersect
 
 __all__ = [
     "Var",
@@ -37,7 +36,6 @@ __all__ = [
     "term_graph",
     "is_regular",
     "eval_term",
-    "check_identity_iv",
 ]
 
 
@@ -250,11 +248,11 @@ def is_regular(term: RelTerm) -> bool:
 
 def eval_term(term: RelTerm, env: dict[str, BinRel]) -> BinRel:
     """Evaluate over an environment of relations sharing one universe."""
-    sizes = set()
-    for name in sorted(term_variables(term)):
-        if name not in env:
-            raise ValueError(f"unbound variable {name!r}")
-        sizes.add(env[name].n)
+    names = term_variables(term)
+    missing = sorted(names - env.keys())
+    if missing:
+        raise ValueError(f"unbound term variables: {', '.join(missing)}")
+    sizes = {env[name].n for name in names}
     if len(sizes) > 1:
         raise DimensionError(f"environment mixes universe sizes {sorted(sizes)}")
 
@@ -266,16 +264,3 @@ def eval_term(term: RelTerm, env: dict[str, BinRel]) -> BinRel:
         return intersect(walk(t.left), walk(t.right))
 
     return walk(term)
-
-
-def check_identity_iv(algebra: Algebra, p: RelTerm, q: RelTerm, env: dict[str, BinRel]) -> bool:
-    """Does p ⊆ q hold after replacing every tolerance by its composition square?
-
-    Every environment value must be a tolerance of the algebra; each
-    variable binding theta is replaced by theta∘theta before evaluating
-    both sides.
-    """
-    for name, rel in env.items():
-        _require_tolerance(algebra, rel, f"binding {name!r}")
-    squared = {name: compose(rel, rel) for name, rel in env.items()}
-    return subset(eval_term(p, squared), eval_term(q, squared))

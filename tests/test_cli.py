@@ -49,6 +49,44 @@ rel theta
 """
 
 
+# Each malformed document, the line of its first fault and a fragment of the message.
+PARSE_ERRORS = [
+    ("size 2\n", 1, "size must follow the algebra line"),
+    ("algebra a\nrel r\n", 2, "rel must follow the size line"),
+    ("algebra a\nsize 2\nsize 3\n", 3, "duplicate size line"),
+    ("algebra a\nsize 2\nop f\n", 3, "expected: op NAME ARITY"),
+    ("algebra a\nsize 2\nop f 2\n0 1\nrel r\n", 5,  # table cut short
+     "'f' expects 4 entries, got 2"),
+    ("algebra a\nsize 2\nop f 2\n0 1\nmystery 1\n", 5,  # before the unknown keyword
+     "'f' expects 4 entries, got 2"),
+    ("algebra a\nsize 2\nrel r\n0\n", 4, "expected a pair of two integers"),
+    ("algebra a\nsize 2\nrel r\n0 1 1\n", 4, "expected a pair of two integers"),
+    ("algebra a\nsize 2\nrel r\n0 5\n", 4, "pair (0, 5) outside the universe"),
+    ("algebra a\nsize 2\nmystery 1\n", 3, "unknown keyword 'mystery'"),
+    ("algebra a\nalgebra b\nsize 2\n", 2, "duplicate algebra line"),
+    ("0 1\nalgebra a\nsize 2\n", 1, "values outside an op or rel block"),
+    ("algebra a\n0 1\nsize 2\n", 2, "values outside an op or rel block"),
+    ("algebra a\nsize 2\n0 1\n", 3, "values outside an op or rel block"),
+    ("size 2\n0 1\n", 1, "size must follow the algebra line"),  # the first fault wins
+    ("algebra a\nsize 2\nop f 1\n0 0\n0 0\n", 5,  # data past a full table
+     "values outside an op or rel block"),
+    ("algebra a\nsize 2\nop f 1 0 1\n1 0\n", 4,  # past a table given inline
+     "values outside an op or rel block"),
+    ("algebra a\nsize 2\nop f 1\n0 2\n", 4, "value 2 outside the universe"),
+    ("algebra a\nsize 2\nop f 2\n0 1\n1 2\n", 5, "value 2 outside the universe"),
+    ("algebra a\nsize 2\nop f 1\n0 1 0\n", 4, "'f' expects 2 entries, got more"),
+    ("algebra\nsize 2\n", 1, "expected: algebra NAME"),
+    ("algebra a\nsize 0\n", 2, "expected: size N with N positive"),
+    ("algebra a\nop f 1\n", 2, "op must follow the size line"),
+    ("algebra a\nsize 1\nop f 1 0\nop f 1 0\n", 4, "duplicate operation name 'f'"),
+    ("algebra a\nsize 2\nop f 1 0 x\n", 3, "table entries must be integers"),
+    ("algebra a\nsize 2\nrel\n", 3, "expected: rel NAME"),
+    ("algebra a\nsize 2\nop f 2\n0 1\n", 5,  # table cut off at end of file
+     "'f' expects 4 entries, got 2"),
+    ("# no algebra\n", 1, "missing algebra line"),
+]
+
+
 class TestDocumentParsing:
     def test_basic(self):
         doc = parse_document(CHAIN2)
@@ -85,35 +123,13 @@ class TestDocumentParsing:
         assert doc.algebra == entry.algebra
         assert doc.relations["theta"] == entry.relations["theta"]
 
-    @pytest.mark.parametrize(
-        "text,line",
-        [
-            ("size 2\n", 1),  # size before algebra is fine? no: algebra required first
-            ("algebra a\nrel r\n", 2),  # rel before size
-            ("algebra a\nsize 2\nsize 3\n", 3),
-            ("algebra a\nsize 2\nop f\n", 3),
-            ("algebra a\nsize 2\nop f 2\n0 1\nrel r\n", 5),  # table cut short
-            ("algebra a\nsize 2\nrel r\n0\n", 4),
-            ("algebra a\nsize 2\nrel r\n0 5\n", 4),
-            ("algebra a\nsize 2\nmystery 1\n", 3),
-            ("algebra a\nalgebra b\nsize 2\n", 2),
-            ("algebra a\nsize 2\nop f 1\n0 0\n0 0\n", 5),
-            ("algebra a\nsize 2\nop f 1\n0 2\n", 4),  # value outside the universe
-            ("algebra a\nsize 2\nop f 1\n0 1 0\n", 4),  # too many entries
-            ("algebra\nsize 2\n", 1),
-            ("algebra a\nsize 0\n", 2),
-            ("algebra a\nop f 1\n", 2),  # op before size
-            ("algebra a\nsize 1\nop f 1 0\nop f 1 0\n", 4),  # duplicate op
-            ("algebra a\nsize 2\nop f 1 0 x\n", 3),  # non-integer inline entries
-            ("algebra a\nsize 2\nrel\n", 3),
-            ("algebra a\nsize 2\nop f 2\n0 1\n", 5),  # table cut off at end of file
-            ("# no algebra\n", 1),
-        ],
-    )
-    def test_error_line_numbers(self, text, line):
+    @pytest.mark.parametrize("text,line,message", PARSE_ERRORS,
+                             ids=[f"{text}-{line}" for text, line, _ in PARSE_ERRORS])
+    def test_error_line_numbers(self, text, line, message):
         with pytest.raises(DocumentError) as exc:
             parse_document(text)
         assert exc.value.line == line
+        assert message in str(exc.value)
 
     def test_missing_size(self):
         with pytest.raises(DocumentError):
@@ -399,6 +415,8 @@ class TestTermCommands:
         path = corpus_file(tmp_path, "five_set")
         assert run(["term-eval", path, "--term", "x o y", "--bind", "x=theta"]) == 2
         assert "unbound" in capsys.readouterr().err
+        assert run(["term-eval", path, "--term", "x o y & z", "--bind", "x=theta"]) == 2
+        assert "unbound term variables: y, z" in capsys.readouterr().err
 
     def test_eval_bad_binding(self, tmp_path, capsys):
         path = corpus_file(tmp_path, "five_set")
