@@ -91,51 +91,91 @@ def _cover_search(algebra: Algebra, cover: BinRel, allowed: BinRel, spend) -> Op
 
     (a, b) is in R∘R⁻ exactly when rows a and b of R meet; that is the one
     R∘R⁻ test here.  The root is the diagonal, which every operation
-    preserves, and each state is kept compatibility-closed.  The
-    off-diagonal cover pairs (a, b) are ordered once, fewest candidates c
-    in allowed[a] & allowed[b] first and ties by index; the candidates
-    never change, so a branch takes the first pair of that order whose rows
-    the state leaves apart and tries each c by adding (a, c) and (b, c).  A
-    child is kept exactly when no row it changed meets a row it may not
-    meet: its parent passed (the root does, as allowed is reflexive), so
-    then its R∘R⁻ stays inside allowed, and so does the child, since
-    S ⊆ S∘S⁻ for a reflexive S.  Any solution S has S∘S⁻ inside allowed
-    and contains some child of every state below it, so the pruning is
-    sound and exhausting the tree proves no R exists.  cover must be
-    symmetric, and allowed reflexive and symmetric, as R∘R⁻ is.  spend()
-    is called once per relation built.  Candidates are tried in ascending
-    index order, so the result is canonical.
+    preserves, and each state is kept compatibility-closed.  A cover pair
+    (a, b) with a < b is uncovered while its rows are apart; a branch adds
+    (a, c) and (b, c) for one candidate c and grows the closure.
+
+    Each state carries forb: forb[x] is the union of the rows R[y] over the
+    y with (x, y) outside allowed, so at the root forb[x] is the set of
+    those y.  A child copies its parent's forb and updates it only from
+    the rows it changed: for each changed row y and each such x, rows x
+    and y must not meet, else the child is rejected, and row y is ORed
+    into forb[x].  A kept child thus has R∘R⁻ inside allowed, given that
+    its parent has (the root does, as allowed is reflexive), and so does
+    R itself, since S ⊆ S∘S⁻ for a reflexive S.
+
+    The viable candidates of an uncovered (a, b) are allowed[a] &
+    allowed[b] minus forb[a] | forb[b].  This is sound: any solution
+    S ⊇ R covers (a, b) through some c with (a, c) and (b, c) in S, so c
+    lies in allowed[a] & allowed[b], as S ⊆ S∘S⁻ ⊆ allowed; and if c were
+    in forb[a], then c ∈ R[y] ⊆ S[y] for a y with (a, y) outside allowed,
+    so rows a and y of S would meet (likewise for b).  A state with an
+    uncovered pair that has no viable candidate is dead: it has no child.
+    Otherwise the search branches fail-first, on the uncovered pair with
+    the fewest viable candidates; ties go to the fixed order of pairs by
+    fewest allowed[a] & allowed[b] and then by index, and the scan stops
+    at a pair with one viable candidate.  Any solution above a state
+    contains one of its children, so exhausting the tree proves no R
+    exists.
+
+    cover must be symmetric, and allowed reflexive and symmetric, as R∘R⁻
+    is.  spend() is called once per relation built.  Candidates are tried
+    in ascending index order, so the result is canonical.
     """
     n = algebra.n
     arows = allowed.rows
     order = sorted(((a, b, arows[a] & arows[b]) for a in range(n) for b in range(a + 1, n)
                     if cover.rows[a] >> b & 1), key=lambda entry: entry[2].bit_count())
-    outside = [((1 << n) - 1) ^ row for row in arows]  # the b with (a, b) not allowed
+    outside = [((1 << n) - 1) ^ row for row in arows]  # the y with (x, y) not allowed
 
-    def frame(rel):
-        """(rel, a, b, candidates) for the first pair rel leaves uncovered, or None."""
+    def frame(rel, forb):
+        """(rel, forb, a, b, candidates) for the fail-first uncovered pair.
+
+        None when rel covers every cover pair; a dead state gets a frame
+        with no candidates.
+        """
         rows = rel.rows
+        best = None
+        least = n + 1
         for a, b, cands in order:
             if not rows[a] & rows[b]:
-                return rel, a, b, _bits(cands)
-        return None
+                viable = cands & ~(forb[a] | forb[b])
+                count = viable.bit_count()
+                if count < least:
+                    best, least = (a, b, viable), count
+                    if count <= 1:
+                        break
+        if best is None:
+            return None
+        a, b, viable = best
+        return rel, forb, a, b, _bits(viable)
+
+    def checked(old, rows, forb):
+        """forb updated from the rows that changed, or None when one meets a row it may not."""
+        forb = forb.copy()
+        for y, row in enumerate(rows):
+            if row != old[y]:
+                for x in _bits(outside[y]):
+                    if rows[x] & row:
+                        return None
+                    forb[x] |= row
+        return forb
 
     # Depth-first, with one frame per level: the depth is bounded only by
     # the number of cover pairs.
     root = BinRel.diagonal(n)
-    top = frame(root)
+    top = frame(root, outside)
     if top is None:
         return root
     stack = [top]
     while stack:
-        rel, a, b, rest = stack[-1]
+        rel, forb, a, b, rest = stack[-1]
         for c in rest:
             spend()
             child = _grow(algebra, rel, ((a, c), (b, c)))
-            rows = child.rows
-            if not any(rows[x] & rows[y] for x, old in enumerate(rel.rows) if rows[x] != old
-                       for y in _bits(outside[x])):
-                top = frame(child)
+            child_forb = checked(rel.rows, child.rows, forb)
+            if child_forb is not None:
+                top = frame(child, child_forb)
                 if top is None:
                     return child
                 stack.append(top)

@@ -74,8 +74,12 @@ def parse_document(text: str) -> Document:
 
     The non-blank lines fall into blocks, each a keyword line and the
     integer lines below it, and each block is checked whole, in order.
+    Lines end at "\n" alone, as grep -n counts them; the "\r" of a CRLF
+    ending is whitespace, and a final "\n" starts no line.
     """
-    lines = text.splitlines()
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
     blocks: list[tuple[int, list[str], list[tuple[int, list[int]]]]] = []
     for lineno, raw in enumerate(lines, start=1):
         tokens = raw.split("#", 1)[0].split()

@@ -12,7 +12,7 @@ import tolrep
 from tolrep import (
     Algebra, BinRel, BudgetExceeded, OperationTable, closure, compose, converse, subset, union,
 )
-from tolrep.algebras import _grow
+from tolrep.algebras import _grow, eval_op
 from tolrep.decide import WeakRepWitness, _congruence_close, _transitive_close
 from tolrep.terms import Compose, Intersect, TermGraph, Var
 
@@ -317,6 +317,23 @@ def weak_representation_oracle(algebra: Algebra, theta: BinRel):
             else:
                 return None
     return WeakRepWitness(separators)
+
+
+def relabel(rel: BinRel, perm) -> BinRel:
+    """The image of rel under the permutation perm of its universe."""
+    return BinRel.from_pairs(rel.n, [(perm[a], perm[b]) for a, b in rel.pairs()])
+
+
+def relabel_algebra(algebra: Algebra, perm) -> Algebra:
+    """The isomorphic copy of algebra in which each element x is named perm[x]."""
+    inverse = [0] * algebra.n
+    for x, image in enumerate(perm):
+        inverse[image] = x
+    return Algebra(algebra.n, tuple(
+        OperationTable.from_function(
+            op.name, op.arity, algebra.n,
+            lambda *args, op=op: perm[eval_op(algebra, op.name, (inverse[y] for y in args))])
+        for op in algebra.ops))
 
 
 def join_closure_oracle(algebra: Algebra, kind: str, limit: int = 10**5) -> list:

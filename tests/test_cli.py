@@ -83,6 +83,11 @@ PARSE_ERRORS = [
     ("algebra a\nsize 2\nrel\n", 3, "expected: rel NAME"),
     ("algebra a\nsize 2\nop f 2\n0 1\n", 5,  # table cut off at end of file
      "'f' expects 4 entries, got 2"),
+    ("algebra a\nsize 2\nop f 2\n0 1", 5,  # the same without a final newline
+     "'f' expects 4 entries, got 2"),
+    ("algebra a\nsize 2\x0c\nop f 1 0 1\nrel\n", 4,  # only "\n" ends a line
+     "expected: rel NAME"),
+    ("algebra a\r\nsize 2\r\nrel\r\n", 3, "expected: rel NAME"),
     ("# no algebra\n", 1, "missing algebra line"),
 ]
 
