@@ -32,7 +32,9 @@ worklist, and code i meets only codes[:i + 1], so each argument tuple is
 built once its last-added component is reached at a kept position.  A
 whole row of images is picked and tested against the code set in one
 step; the rows of an operation of arity 3 or more are picked, tested and
-gathered in C, with no Python bytecode run per row.
+gathered in C, with no Python bytecode run per row.  is_compatible runs
+the same kernel over a relation's codes, with nothing closed yet, and
+stops at the first code with an image outside them.
 """
 
 from __future__ import annotations
@@ -191,15 +193,14 @@ class _Plan(NamedTuple):
     last, whose innermost entries are rows of the m image codes over the
     last.  So a binary operation's tables are rows, with rows[c][d] the
     image of (c, d), and, unless it is commutative, cols, with cols[c][d]
-    the image of (d, c).  _kept_positions says which positions are kept;
-    position 0 always is.
+    the image of (d, c).  _kept_positions says which positions are kept.
     """
 
     unary: tuple[tuple[int, ...], ...]
     tables: tuple[tuple[int, tuple], ...]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def _square_tables(algebra: Algebra) -> _Plan:
     """The kernel plan: componentwise tables on pair codes.
 
@@ -334,10 +335,10 @@ def _row_table(tab, arity, n):
     return table[0]
 
 
-def _saturate(plan, member, codes, start):
+def _saturate(plan, member, codes, start, stop=False):
     """Close the code list under the operations of the plan, semi-naively.
 
-    plan is the algebra's kernel plan; _grow is the only caller.  codes is
+    plan is the algebra's kernel plan, from _square_tables.  codes is
     its own FIFO worklist and codes[:start] is already closed.  Code i is
     combined only with codes[:i + 1], in every kept argument position, so
     an argument tuple is built only once its last-added component is
@@ -355,8 +356,15 @@ def _saturate(plan, member, codes, start):
     and gathered without a Python loop per row.  New images are appended after each
     code.  Images of swapped tuples are the swapped images, so a
     symmetric start closes to a symmetric list.
+
+    _grow closes; is_compatible sets stop and only tests, from start 0.
+    Then the first code with an image outside member returns False before
+    anything is added, and a list that is already closed returns True.  An
+    empty plan returns at once, without a pass over the codes.
     """
     unary, tables = plan
+    if not (unary or tables):
+        return True
     covered = member.issuperset
     i = start
     while i < len(codes):
@@ -378,17 +386,18 @@ def _saturate(plan, member, codes, start):
                     for _ in range(arity - 3):
                         rows = chain.from_iterable(map(pick, rows))
                     found += chain.from_iterable(filterfalse(covered, map(pick, rows)))
+        if found and stop:
+            return False
         for v in found:
             if v not in member:
                 member.add(v)
                 codes.append(v)
         i += 1
+    return True
 
 
 def _picker(idx):
-    """A function taking a sequence to the tuple of its items at idx."""
-    if not idx:
-        return lambda seq: ()
+    """A function taking a sequence to the tuple of its items at idx, which is nonempty."""
     if len(idx) == 1:
         j = idx[0]
         return lambda seq: (seq[j],)
@@ -438,10 +447,10 @@ def _codes(rel: BinRel) -> tuple[int, ...]:
 def _grow(algebra: Algebra, rel: BinRel, extra: Iterable[tuple[int, int]], symmetric=False) -> BinRel:
     """Closure of rel plus extra pairs, assuming rel itself is already closed.
 
-    The one way into the closure kernel.  The kernel plan is fetched
-    first, so every call builds it for a new algebra.  Returns rel itself
-    when extra adds nothing; otherwise only the new codes are ORed into a
-    copy of its rows.  symmetric adds each extra pair's converse too.
+    The one way to grow a relation in the closure kernel.  The plan is
+    fetched first, so every call builds it for a new algebra.  Returns rel
+    itself when extra adds nothing; otherwise only the new codes are ORed
+    into a copy of its rows.  symmetric adds each extra pair's converse too.
     """
     n = algebra.n
     plan = _square_tables(algebra)
@@ -465,30 +474,14 @@ def _grow(algebra: Algebra, rel: BinRel, extra: Iterable[tuple[int, int]], symme
 def is_compatible(algebra: Algebra, rel: BinRel) -> bool:
     """Do the operations preserve the relation componentwise?
 
-    Checks every tuple of related argument pairs directly, a row of
-    images at a time through the kernel plan, and stops at the first row
-    that leaves the relation.  That costs |rel| ** arity table lookups per
-    operation.  The rows come from position 0's row table, which every
-    plan keeps, and are picked and tested in C, so those lookups run
-    without Python bytecode per row: fine through arity 3 at this
-    package's universe sizes, and steep beyond.
+    rel's codes go to _saturate as a worklist with nothing closed, so each
+    tuple of related argument pairs is built once, a row of images at a
+    time, and the test stops at the first code with an image outside rel.
     """
     if rel.n != algebra.n:
         raise DimensionError(f"relation lives on {rel.n} elements, algebra on {algebra.n}")
     codes = _codes(rel)
-    member = set(codes)
-    covered = member.issuperset
-    pick = _picker(codes)
-    unary, tables = _square_tables(algebra)
-    if unary and not all(covered(unary[c]) for c in codes):
-        return False
-    for arity, by_position in tables:
-        rows = pick(by_position[0])
-        for _ in range(arity - 2):
-            rows = chain.from_iterable(map(pick, rows))
-        if not all(map(covered, map(pick, rows))):
-            return False
-    return True
+    return _saturate(_square_tables(algebra), set(codes), codes, 0, stop=True)
 
 
 class RelationClass(NamedTuple):

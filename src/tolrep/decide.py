@@ -112,11 +112,10 @@ def _cover_search(algebra: Algebra, cover: BinRel, allowed: BinRel, spend) -> Op
     so rows a and y of S would meet (likewise for b).  A state with an
     uncovered pair that has no viable candidate is dead: it has no child.
     Otherwise the search branches fail-first, on the uncovered pair with
-    the fewest viable candidates; ties go to the fixed order of pairs by
-    fewest allowed[a] & allowed[b] and then by index, and the scan stops
-    at a pair with one viable candidate.  Any solution above a state
-    contains one of its children, so exhausting the tree proves no R
-    exists.
+    the fewest viable candidates; ties go by index, to the least a and then
+    the least b, and the scan stops at a pair with one viable candidate.
+    Any solution above a state contains one of its children, so exhausting
+    the tree proves no R exists.
 
     cover must be symmetric, and allowed reflexive and symmetric, as R∘R⁻
     is.  spend() is called once per relation built.  Candidates are tried
@@ -124,8 +123,8 @@ def _cover_search(algebra: Algebra, cover: BinRel, allowed: BinRel, spend) -> Op
     """
     n = algebra.n
     arows = allowed.rows
-    order = sorted(((a, b, arows[a] & arows[b]) for a in range(n) for b in range(a + 1, n)
-                    if cover.rows[a] >> b & 1), key=lambda entry: entry[2].bit_count())
+    order = [(a, b, arows[a] & arows[b]) for a in range(n) for b in range(a + 1, n)
+             if cover.rows[a] >> b & 1]
     outside = [((1 << n) - 1) ^ row for row in arows]  # the y with (x, y) not allowed
 
     def frame(rel, forb):
@@ -190,10 +189,10 @@ def _certified(algebra: Algebra, theta: BinRel, search):
 
     The searches assume theta has the algebra's size and is reflexive and
     symmetric, so _reflexive_symmetric tests those first.  A witness
-    proves the rest, so compatibility, the |theta| ** arity scan, is left
-    to _require_tolerance, which runs only when search() finds no witness
-    or raises BudgetExceeded (checked before re-raising).  A non-tolerance
-    thus always gets the same error.
+    proves the rest, so compatibility, a kernel pass over theta's codes, is
+    left to _require_tolerance, which runs only when search() finds no
+    witness or raises BudgetExceeded (checked before re-raising).  A
+    non-tolerance thus always gets the same error.
     """
     if not _reflexive_symmetric(algebra, theta):
         _require_tolerance(algebra, theta)  # always raises here

@@ -265,13 +265,17 @@ class TestCompatibility:
         assert is_compatible(alg, rel) == (closure(alg, rel.pairs(), "reflexive") == rel)
 
     @settings(max_examples=100)
-    @given(algebras(max_n=4, max_arity=4) | near_projection_algebras() | symmetric_algebras(),
-           st.data())
+    @given(algebras(max_n=4, max_arity=4) | near_projection_algebras() | symmetric_algebras()
+           | expanded_algebras(), st.data())
     def test_matches_definition_up_to_arity_four(self, alg, data):
         rel = data.draw(binrels_on(alg.n))
         assert is_compatible(alg, rel) == compatible_oracle(alg, rel)
         closed = closure(alg, rel.pairs(), "reflexive")
         assert is_compatible(alg, closed) and compatible_oracle(alg, closed)
+
+    def test_algebra_without_operations(self):
+        for rel in (BinRel.empty(3), BinRel.diagonal(3), BinRel.full(3)):
+            assert is_compatible(Algebra(3), rel)
 
     def test_ternary_operation(self):
         table = tuple((x + y + z) % 3 for x in range(3) for y in range(3) for z in range(3))
@@ -334,7 +338,8 @@ class TestKernelPlan:
         before = _square_tables.cache_info()
         assert _square_tables(first) is _square_tables(second)
         after = _square_tables.cache_info()
-        assert after.currsize - before.currsize == 1
+        # One build and one hit; currsize would not grow in a full cache.
+        assert after.misses - before.misses == 1
         assert after.hits - before.hits == 1
 
     @pytest.mark.parametrize("mode", [mode for mode, _ in MODES])
@@ -461,6 +466,14 @@ class TestKernelPlan:
         assert len(_square_tables(at_bound).tables) == 1
         with pytest.raises(BudgetExceeded, match=r"needs 5! \* 1 \*\* 5 table lookups"):
             _square_tables(Algebra(1, (OperationTable("f", 5, (0,)),)))
+
+    def test_cache_is_bounded(self):
+        # A sweep over many algebras must not keep every plan.
+        maxsize = _square_tables.cache_info().maxsize
+        assert maxsize is not None
+        for i in range(maxsize + 1):
+            _square_tables(Algebra(1, (OperationTable(f"bounded{i}", 1, (0,)),)))
+        assert _square_tables.cache_info().currsize <= maxsize
 
     def test_cache_interface_that_the_benchmark_tracer_uses(self):
         # perfbench's tracer times plan builds by caching _square_tables.__wrapped__

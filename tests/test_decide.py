@@ -457,19 +457,28 @@ class TestWeakRepresentation:
             assert verify_weak_representation(alg, theta, slow)
 
 
+def tolerance_of(pairs):
+    return BinRel.from_pairs(7, [(int(a), int(b)) for a, b in pairs.split()],
+                             reflexive=True, symmetric=True)
+
+
 # The costliest s7_semilattice tolerance for a covering search without
 # the forward check (9 580 relations to say no); pinned at 95 below, so a
 # search that loses the check fails fast instead of running for seconds.
-HARD_NO = BinRel.from_pairs(
-    7, [(int(a), int(b)) for a, b in "01 02 03 06 12 13 16 23 24 25 26 34 35 36 45 46 56".split()],
-    reflexive=True, symmetric=True)
+HARD_NO = tolerance_of("01 02 03 06 12 13 16 23 24 25 26 34 35 36 45 46 56")
+
+# Fail-first branching breaks ties by index.  A tie rule that first
+# prefers the pairs with the fewest allowed candidates takes 199 relations
+# to say no on both algebras instead of 35.
+INDEX_TIES = tolerance_of("02 03 04 05 06 15 16 23 24 25 26 34 36 46 56")
 
 
 class TestRelationsBuilt:
     # N is the number of relations each search builds to decide, one
     # spend() per relation: budget N decides and budget N - 1 runs out.
     # The counts pin the branching order as well as the pruning.  A name
-    # ending in ":hard_no" decides HARD_NO instead of the entry's theta.
+    # ending in ":hard_no" or ":index_ties" decides HARD_NO or INDEX_TIES
+    # instead of the entry's theta.
     @pytest.mark.parametrize("name, search, what, need, answer", [
         ("five_set", find_representation, "node", 10, False),
         ("s7_semilattice", find_representation, "node", 12, False),
@@ -485,11 +494,14 @@ class TestRelationsBuilt:
         ("l7_majority:hard_no", find_representation, "node", 95, False),
         ("s7_semilattice:hard_no", find_weak_representation, "relation", 37, True),
         ("l7_majority:hard_no", find_weak_representation, "relation", 37, True),
+        ("s7_semilattice:index_ties", find_representation, "node", 35, False),
+        ("l7_majority:index_ties", find_representation, "node", 35, False),
     ])
     def test_budget_edge(self, name, search, what, need, answer):
-        name, _, hard = name.partition(":")
+        name, _, which = name.partition(":")
         entry = corpus_get(name)
-        theta = HARD_NO if hard else entry.relations["theta"]
+        theta = {"": entry.relations.get("theta"), "hard_no": HARD_NO,
+                 "index_ties": INDEX_TIES}[which]
         with pytest.raises(BudgetExceeded, match=f"^{what} budget of {need - 1} exhausted$"):
             search(entry.algebra, theta, need - 1)
         assert (search(entry.algebra, theta, need) is not None) == answer
