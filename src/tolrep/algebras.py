@@ -40,7 +40,7 @@ stops at the first code with an image outside them.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, filterfalse, islice, permutations, product
+from itertools import chain, count, filterfalse, islice, permutations, product
 from operator import itemgetter
 from sys import byteorder
 from typing import Iterable, NamedTuple
@@ -411,8 +411,9 @@ def closure(algebra: Algebra, seed: Iterable[tuple[int, int]], mode: str) -> Bin
     converse of every pair.  The result is closed under every operation of
     the algebra applied componentwise, hence always admissible (and a
     tolerance in the symmetric mode).  After checking the mode and the
-    seed, this is _grow from the diagonal, so it builds the algebra's
-    kernel plan even when the seed adds nothing.
+    seed, this is _grow from the diagonal, with the seed's converses
+    appended in the symmetric mode, so it builds the algebra's kernel plan
+    even when the seed adds nothing.
     """
     if mode not in CLOSURE_MODES:
         raise ValueError(f"mode must be one of {CLOSURE_MODES}, got {mode!r}")
@@ -421,8 +422,10 @@ def closure(algebra: Algebra, seed: Iterable[tuple[int, int]], mode: str) -> Bin
     for a, b in seed:
         if not (0 <= a < n and 0 <= b < n):
             raise ValueError(f"seed pair ({a}, {b}) out of range for universe of size {n}")
+    if mode == "reflexive-symmetric":
+        seed += [(b, a) for a, b in seed]
     # The diagonal is closed: operations map diagonal tuples to the diagonal.
-    return _grow(algebra, BinRel.diagonal(n), seed, mode == "reflexive-symmetric")
+    return _grow(algebra, BinRel.diagonal(n), seed)
 
 
 @lru_cache(maxsize=1)
@@ -444,13 +447,15 @@ def _codes(rel: BinRel) -> tuple[int, ...]:
     return tuple(codes)
 
 
-def _grow(algebra: Algebra, rel: BinRel, extra: Iterable[tuple[int, int]], symmetric=False) -> BinRel:
-    """Closure of rel plus extra pairs, assuming rel itself is already closed.
+def _grow(algebra: Algebra, rel: BinRel, extra: Iterable[tuple[int, int]]) -> BinRel:
+    """Closure of rel plus exactly the extra pairs, assuming rel itself is already closed.
 
     The one way to grow a relation in the closure kernel.  The plan is
     fetched first, so every call builds it for a new algebra.  Returns rel
     itself when extra adds nothing; otherwise only the new codes are ORed
-    into a copy of its rows.  symmetric adds each extra pair's converse too.
+    into a copy of its rows.  A symmetric rel grown by pairs listed with
+    their converses stays symmetric (see _saturate), so tolerance callers
+    pass each converse themselves.
     """
     n = algebra.n
     plan = _square_tables(algebra)
@@ -458,10 +463,10 @@ def _grow(algebra: Algebra, rel: BinRel, extra: Iterable[tuple[int, int]], symme
     member = set(codes)
     start = len(codes)
     for a, b in extra:
-        for code in (a * n + b, b * n + a) if symmetric else (a * n + b,):
-            if code not in member:
-                member.add(code)
-                codes.append(code)
+        code = a * n + b
+        if code not in member:
+            member.add(code)
+            codes.append(code)
     if len(codes) == start:
         return rel
     _saturate(plan, member, codes, start)
@@ -538,26 +543,10 @@ def expand(algebra: Algebra, theta: BinRel) -> Algebra:
     """
     _require_tolerance(algebra, theta)
     n = algebra.n
-    seen = set()
-    tables = []
-    for a in range(n):
-        for b in range(a, n):
-            if not theta.has(a, b):
-                continue
-            values = (a,) if a == b else (a, b)
-            for func in product(values, repeat=n):
-                if func not in seen:
-                    seen.add(func)
-                    tables.append(func)
-    existing = {op.name for op in algebra.ops}
-    new_ops = []
-    idx = 0
-    for func in tables:
-        name = f"u{idx}"
-        while name in existing:
-            idx += 1
-            name = f"u{idx}"
-        existing.add(name)
-        idx += 1
-        new_ops.append(OperationTable(name, 1, func))
-    return Algebra(n, algebra.ops + tuple(new_ops))
+    tables = dict.fromkeys(func for a in range(n) for b in range(a, n) if theta.has(a, b)
+                           for func in product((a,) if a == b else (a, b), repeat=n))
+    # The new operations are named u0, u1, ..., skipping the names already taken.
+    taken = {op.name for op in algebra.ops}
+    names = (name for name in map("u{}".format, count()) if name not in taken)
+    return Algebra(n, algebra.ops + tuple(OperationTable(name, 1, func)
+                                          for name, func in zip(names, tables)))

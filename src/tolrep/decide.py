@@ -471,48 +471,47 @@ def _lattice(members: Iterator[BinRel], limit: int, what: str) -> list[BinRel]:
 
 
 def enumerate_tolerances(algebra: Algebra, limit: int = DEFAULT_REL_BUDGET) -> list[BinRel]:
-    """All tolerances: _join_closure over the pairs a < b, joins closed symmetrically."""
+    """All tolerances: _join_closure over the pairs a < b, each joined with its converse."""
     n = algebra.n
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     members = _join_closure(BinRel.diagonal(n), pairs,
-                            lambda r, pair: _grow(algebra, r, (pair,), symmetric=True))
+                            lambda r, pair: _grow(algebra, r, (pair, pair[::-1])))
     return _lattice(members, limit, "tolerance")
 
 
-def _transitive_close(rel: BinRel) -> BinRel:
-    """Transitive closure by Warshall on the bit rows."""
+def _congruence_close(rel: BinRel) -> BinRel:
+    """Transitive closure by Warshall on the bit rows: the least congruence over rel.
+
+    rel must be reflexive and symmetric, and its transitive closure must be
+    compatible.  Then that closure is a congruence, and the least one
+    holding rel, so no compatibility closure runs.  This holds for a closed
+    tolerance T: its transitive closure is the union of the chain
+    T ⊆ T² ⊆ ..., and each T^k is compatible, as a composite of compatible
+    relations is.  It holds too for the union of two congruences α and β,
+    whose transitive closure is the union of the chain (α∘β)^k.
+    """
+    n = rel.n
     rows = list(rel.rows)
-    for k in range(rel.n):
+    for k in range(n):
         bit = 1 << k
-        for a in range(rel.n):
+        for a in range(n):
             if rows[a] & bit:
                 rows[a] |= rows[k]
-    return BinRel(rel.n, tuple(rows))
-
-
-def _congruence_close(algebra: Algebra, rel: BinRel) -> BinRel:
-    """Smallest congruence containing a tolerance.
-
-    Alternates transitive closure with the compatibility closure until
-    neither adds a pair; rel must already be closed.
-    """
-    while True:
-        trans = _transitive_close(rel)
-        if trans == rel:
-            return rel
-        rel = _grow(algebra, rel, trans.pairs(), symmetric=True)
+    return BinRel(n, tuple(rows))
 
 
 def enumerate_congruences(algebra: Algebra, limit: int = DEFAULT_REL_BUDGET) -> list[BinRel]:
-    """All congruences: _join_closure over the pairs a < b with principals Cg(a, b)."""
-    # The transitive closure of the union of two congruences is their join,
-    # and it is already compatible: it is the union of the chain (α∘β)^k,
-    # and composites of compatible reflexive relations are compatible.
+    """All congruences: _join_closure over the pairs a < b with principals Cg(a, b).
+
+    Cg(a, b) is the transitive closure of the principal tolerance of (a, b),
+    and the join of two congruences that of their union (see
+    _congruence_close).
+    """
     n = algebra.n
     diag = BinRel.diagonal(n)
-    cg = {(a, b): _congruence_close(algebra, _grow(algebra, diag, ((a, b),), symmetric=True))
+    cg = {(a, b): _congruence_close(_grow(algebra, diag, ((a, b), (b, a))))
           for a in range(n) for b in range(a + 1, n)}
-    members = _join_closure(diag, cg, lambda r, pair: _transitive_close(union(r, cg[pair])))
+    members = _join_closure(diag, cg, lambda r, pair: _congruence_close(union(r, cg[pair])))
     return _lattice(members, limit, "congruence")
 
 
@@ -520,7 +519,7 @@ def tolerance_join(algebra: Algebra, alpha: BinRel, beta: BinRel) -> BinRel:
     """Smallest tolerance containing both (their union re-closed)."""
     _require_tolerance(algebra, alpha)
     _require_tolerance(algebra, beta)
-    return _grow(algebra, alpha, beta.pairs(), symmetric=True)
+    return _grow(algebra, alpha, beta.pairs())
 
 
 def check_permutability(algebra: Algebra, limit: int = DEFAULT_REL_BUDGET) -> PermutabilityReport:

@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 import tolrep
 from tolrep import (
-    Algebra, BinRel, BudgetExceeded, OperationTable, closure, compose, converse, subset, union,
+    Algebra, BinRel, BudgetExceeded, OperationTable, closure, compose, converse, expand, subset,
+    union,
 )
 from tolrep.algebras import _grow, eval_op
-from tolrep.decide import WeakRepWitness, _congruence_close, _transitive_close
+from tolrep.decide import WeakRepWitness, _congruence_close
 from tolrep.terms import Compose, Intersect, TermGraph, Var
 
 
@@ -135,6 +136,14 @@ def symmetric_algebras(draw, max_n: int = 4, max_ops: int = 2):
 
 
 @st.composite
+def expanded_algebras(draw):
+    """An algebra with many unary operations: the expansion by a tolerance."""
+    alg = draw(algebras(max_n=4, max_ops=1, max_arity=2))
+    seed = draw(binrels_on(alg.n, reflexive=True, symmetric=True))
+    return expand(alg, closure(alg, seed.pairs(), "reflexive-symmetric"))
+
+
+@st.composite
 def algebra_with_rel(draw, max_n: int = 4, **rel_kwargs):
     alg = draw(algebras(max_n=max_n))
     rel = draw(binrels_on(alg.n, **rel_kwargs))
@@ -179,6 +188,31 @@ def closure_oracle(algebra: Algebra, seed, symmetric: bool) -> BinRel:
         if new <= pairs:
             return BinRel.from_pairs(n, pairs)
         pairs |= new
+
+
+def transitive_oracle(pairs) -> set:
+    """The transitive closure of a pair set, composing it with itself until nothing is new."""
+    pairs = set(pairs)
+    while True:
+        step = {(a, d) for a, b in pairs for c, d in pairs if b == c}
+        if step <= pairs:
+            return pairs
+        pairs |= step
+
+
+def congruence_close_oracle(algebra: Algebra, rel: BinRel) -> BinRel:
+    """The least congruence holding rel, by alternating two pair-set closures.
+
+    Alternates closure_oracle in its symmetric mode with transitive_oracle
+    until neither adds a pair.  Unlike _congruence_close, it does not rely
+    on the transitive closure of a tolerance being compatible.
+    """
+    pairs = set(rel.pairs())
+    while True:
+        closed = transitive_oracle(closure_oracle(algebra, pairs, symmetric=True).pairs())
+        if closed == pairs:
+            return BinRel.from_pairs(algebra.n, pairs)
+        pairs = closed
 
 
 def compatible_oracle(algebra: Algebra, rel: BinRel) -> bool:
@@ -342,12 +376,12 @@ def join_closure_oracle(algebra: Algebra, kind: str, limit: int = 10**5) -> list
     kind is "admissible", "tolerances" or "congruences".  Starts from the
     diagonal and the principal relations, then joins every item with every
     earlier item and re-closes the join under the operations (for
-    congruences, also under _congruence_close).  O(T²) closures, so only
+    congruences, with congruence_close_oracle).  O(T²) closures, so only
     usable on small algebras.  Raises BudgetExceeded once more than limit
     relations exist.
     """
     def close(rel):
-        return _congruence_close(algebra, rel) if kind == "congruences" else rel
+        return congruence_close_oracle(algebra, rel) if kind == "congruences" else rel
 
     n = algebra.n
     symmetric = kind != "admissible"
@@ -370,7 +404,7 @@ def join_closure_oracle(algebra: Algebra, kind: str, limit: int = 10**5) -> list
     i = 0
     while i < len(items):
         for pred in range(i):
-            add(close(_grow(algebra, items[i], items[pred].pairs(), symmetric=symmetric)))
+            add(close(_grow(algebra, items[i], items[pred].pairs())))
         i += 1
     return sorted(items, key=lambda r: (r.pair_count(), r.rows))
 
@@ -387,10 +421,10 @@ def join_arguments(algebra: Algebra, kind: str):
         return diag, pairs, lambda r, pair: _grow(algebra, r, (pair,))
     if kind == "tolerance":
         pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-        return diag, pairs, lambda r, pair: _grow(algebra, r, (pair,), symmetric=True)
-    cg = {(a, b): _congruence_close(algebra, _grow(algebra, diag, ((a, b),), symmetric=True))
+        return diag, pairs, lambda r, pair: _grow(algebra, r, (pair, pair[::-1]))
+    cg = {(a, b): _congruence_close(_grow(algebra, diag, ((a, b), (b, a))))
           for a in range(n) for b in range(a + 1, n)}
-    return diag, cg, lambda r, pair: _transitive_close(union(r, cg[pair]))
+    return diag, cg, lambda r, pair: _congruence_close(union(r, cg[pair]))
 
 
 def join_every_principal_oracle(bottom: BinRel, pairs, join):

@@ -10,6 +10,9 @@ from helpers import (
     algebra_with_rel,
     algebras,
     binrels_on,
+    compatible_oracle,
+    congruence_close_oracle,
+    expanded_algebras,
     join_arguments,
     join_closure_oracle,
     join_every_principal_oracle,
@@ -44,10 +47,11 @@ from tolrep import (
     represent_via_order,
     subset,
     tolerance_join,
+    union,
     verify_representation,
     verify_weak_representation,
 )
-from tolrep.decide import _join_closure, _lattice, iter_admissible
+from tolrep.decide import _congruence_close, _join_closure, _lattice, iter_admissible
 
 
 def all_reflexive_symmetric(n):
@@ -722,6 +726,23 @@ class TestToleranceEnumeration:
 
     def test_expansion_congruences(self):
         assert len(enumerate_congruences(corpus_get("expand_five").algebra)) == 2
+
+
+class TestCongruenceClose:
+    @settings(max_examples=60)
+    @given(algebras(max_n=4, max_arity=3) | symmetric_algebras() | expanded_algebras(),
+           st.data())
+    def test_matches_alternating_oracle(self, alg, data):
+        # The transitive closure of a closed tolerance, or of the union of
+        # two congruences, is already compatible: no re-closure is needed.
+        tol = data.draw(st.sampled_from(enumerate_tolerances(alg)))
+        cong = _congruence_close(tol)
+        assert cong == congruence_close_oracle(alg, tol)
+        assert subset(tol, cong) and subset(compose(cong, cong), cong)
+        assert compatible_oracle(alg, cong)
+        congruences = st.sampled_from(enumerate_congruences(alg))
+        both = union(data.draw(congruences), data.draw(congruences))
+        assert _congruence_close(both) == congruence_close_oracle(alg, both)
 
 
 class TestJoinClosure:
