@@ -43,10 +43,10 @@ from functools import lru_cache
 from itertools import chain, count, filterfalse, islice, permutations, product
 from operator import itemgetter
 from sys import byteorder
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import BudgetExceeded, DimensionError
-from .relations import BinRel, _bits, classify_shape
+from .relations import BinRel, _diagonal_rows, _shape_flags, classify_shape
 
 __all__ = [
     "OperationTable",
@@ -428,15 +428,29 @@ def closure(algebra: Algebra, seed: Iterable[tuple[int, int]], mode: str) -> Bin
     return _grow(algebra, BinRel.diagonal(n), seed)
 
 
-@lru_cache(maxsize=1)
-def _codes(rel: BinRel) -> tuple[int, ...]:
-    """The pair codes of rel, row-major.
+# The relation _grow last grew and the one it last returned, each held
+# with its codes as one (rel, codes) tuple that is rebound in a single
+# assignment, so no relation is ever read with another's codes.
+_grown = _returned = (None, ())
 
-    Callers grow one relation by many different pairs in a row (each
-    listing item by every principal, each search node by every candidate),
-    so the last relation's codes are kept.
+
+def _codes(rel: BinRel) -> Sequence[int]:
+    """The pair codes of rel, in no fixed order; callers must not change them.
+
+    A search grows a node by every candidate and then descends into the
+    child _grow just returned, and a listing grows one item by many pairs
+    in a row, so both of those relations keep the codes _grow had for
+    them: for the one it returned, the grown relation's codes and then the
+    new ones in the order the kernel found them.  Any other relation's
+    codes are read off its rows, row-major, and the diagonal's are
+    range(0, n * n, n + 1).
     """
+    for held, codes in (_grown, _returned):  # each slot read once, as a whole
+        if held is rel:
+            return codes
     n = rel.n
+    if rel.rows == _diagonal_rows(n):
+        return range(0, n * n, n + 1)
     codes = []
     for a, row in enumerate(rel.rows):
         base = a * n
@@ -444,7 +458,7 @@ def _codes(rel: BinRel) -> tuple[int, ...]:
             low = row & -row
             codes.append(base + low.bit_length() - 1)
             row ^= low
-    return tuple(codes)
+    return codes
 
 
 def _grow(algebra: Algebra, rel: BinRel, extra: Iterable[tuple[int, int]]) -> BinRel:
@@ -453,14 +467,19 @@ def _grow(algebra: Algebra, rel: BinRel, extra: Iterable[tuple[int, int]]) -> Bi
     The one way to grow a relation in the closure kernel.  The plan is
     fetched first, so every call builds it for a new algebra.  Returns rel
     itself when extra adds nothing; otherwise only the new codes are ORed
-    into a copy of its rows.  A symmetric rel grown by pairs listed with
-    their converses stays symmetric (see _saturate), so tolerance callers
-    pass each converse themselves.
+    into a copy of its rows, and the result is built unchecked, as every
+    code is a valid pair.  rel and the result are kept with their codes
+    for the next call (see _codes).  A symmetric rel grown by pairs listed
+    with their converses stays symmetric (see _saturate), so tolerance
+    callers pass each converse themselves.
     """
+    global _grown, _returned
     n = algebra.n
     plan = _square_tables(algebra)
-    codes = list(_codes(rel))
+    codes = _codes(rel)
+    _grown = (rel, codes)
     member = set(codes)
+    codes = list(codes)
     start = len(codes)
     for a, b in extra:
         code = a * n + b
@@ -473,7 +492,9 @@ def _grow(algebra: Algebra, rel: BinRel, extra: Iterable[tuple[int, int]]) -> Bi
     rows = list(rel.rows)
     for code in islice(codes, start, None):
         rows[code // n] |= 1 << (code % n)
-    return BinRel(n, rows)
+    grown = BinRel._trusted(n, tuple(rows))
+    _returned = (grown, codes)
+    return grown
 
 
 def is_compatible(algebra: Algebra, rel: BinRel) -> bool:
@@ -514,14 +535,11 @@ def classify_relation(algebra: Algebra, rel: BinRel) -> RelationClass:
 def _reflexive_symmetric(algebra: Algebra, rel: BinRel) -> bool:
     """Is rel reflexive and symmetric?  DimensionError unless it has the algebra's size.
 
-    Tested on rel's rows, with no converse built: each row holds its own
-    element, and each element b of row a has a in its row.
+    Tested on rel's packed rows and their transpose (see _shape_flags).
     """
     if rel.n != algebra.n:
         raise DimensionError(f"relation lives on {rel.n} elements, algebra on {algebra.n}")
-    rows = rel.rows
-    return all(row >> a & 1 and all(rows[b] >> a & 1 for b in _bits(row))
-               for a, row in enumerate(rows))
+    return all(_shape_flags(rel))
 
 
 def _require_tolerance(algebra: Algebra, rel: BinRel) -> None:

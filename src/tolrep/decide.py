@@ -14,7 +14,7 @@ from typing import Iterator, NamedTuple, Optional
 
 from .algebras import Algebra, _grow, _reflexive_symmetric, _require_tolerance, is_compatible
 from .errors import BudgetExceeded
-from .relations import BinRel, _bits, compose, converse, intersect, subset, union
+from .relations import BinRel, _bits, _shape_flags, compose, converse, intersect, subset, union
 
 __all__ = [
     "DEFAULT_NODE_BUDGET",
@@ -66,9 +66,10 @@ class PermutabilityReport(NamedTuple):
 
 def _composite(algebra: Algebra, rel: BinRel) -> Optional[BinRel]:
     """R∘R⁻ when rel is a reflexive compatible relation on the algebra's universe, else None."""
-    if rel.n != algebra.n or not all(row >> a & 1 for a, row in enumerate(rel.rows)):
+    if rel.n != algebra.n:
         return None
-    return compose(rel, converse(rel)) if is_compatible(algebra, rel) else None
+    reflexive, _ = _shape_flags(rel)
+    return compose(rel, converse(rel)) if reflexive and is_compatible(algebra, rel) else None
 
 
 def _budget(limit: int, what: str):
@@ -497,7 +498,7 @@ def _congruence_close(rel: BinRel) -> BinRel:
         for a in range(n):
             if rows[a] & bit:
                 rows[a] |= rows[k]
-    return BinRel(n, tuple(rows))
+    return BinRel._trusted(n, tuple(rows))
 
 
 def enumerate_congruences(algebra: Algebra, limit: int = DEFAULT_REL_BUDGET) -> list[BinRel]:

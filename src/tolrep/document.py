@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from .algebras import Algebra, OperationTable
 from .errors import DocumentError
-from .relations import BinRel
+from .relations import BinRel, _shape_flags
 
 __all__ = ["MAX_SIZE", "Document", "parse_document", "print_document"]
 
@@ -45,7 +45,8 @@ class Document:
             if rel.n != algebra.n:
                 raise ValueError(f"relation {rname!r} lives on {rel.n} elements, "
                                  f"algebra on {algebra.n}")
-            if not all(rel.rows[a] >> a & 1 for a in range(rel.n)):
+            reflexive, _ = _shape_flags(rel)
+            if not reflexive:
                 raise ValueError(f"relation {rname!r} is missing diagonal pairs")
 
     def __eq__(self, other):

@@ -8,6 +8,7 @@ bit twiddling is both the fastest and the simplest representation.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DimensionError
@@ -32,14 +33,30 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+@lru_cache(maxsize=32)
+def _diagonal_rows(n: int) -> tuple[int, ...]:
+    return tuple(1 << a for a in range(n))
+
+
+def _check_size(n: int) -> None:
+    if n <= 0:
+        raise ValueError(f"universe size must be positive, got {n}")
+
+
 class BinRel:
-    """Immutable binary relation on {0..n-1}; equality is cell-wise."""
+    """Immutable binary relation on {0..n-1}; equality is cell-wise.
+
+    The constructor checks the size, the row count and that every row lies
+    inside the universe.  _trusted skips those checks; it takes rows
+    computed from rows or pair codes of valid relations on the same
+    universe (their unions, intersections, compositions, transposes and
+    kernel closures), which cannot leave it.
+    """
 
     __slots__ = ("n", "rows")
 
     def __init__(self, n: int, rows: Iterable[int]):
-        if n <= 0:
-            raise ValueError(f"universe size must be positive, got {n}")
+        _check_size(n)
         rows = tuple(rows)
         if len(rows) != n:
             raise ValueError(f"expected {n} rows, got {len(rows)}")
@@ -51,12 +68,21 @@ class BinRel:
         self.rows = rows
 
     @classmethod
+    def _trusted(cls, n: int, rows: tuple[int, ...]) -> BinRel:
+        """The relation with these rows, unchecked: a tuple of n rows inside the universe."""
+        rel = object.__new__(cls)
+        rel.n = n
+        rel.rows = rows
+        return rel
+
+    @classmethod
     def empty(cls, n: int) -> BinRel:
         return cls(n, (0,) * n)
 
     @classmethod
     def diagonal(cls, n: int) -> BinRel:
-        return cls(n, tuple(1 << a for a in range(n)))
+        _check_size(n)
+        return cls._trusted(n, _diagonal_rows(n))
 
     @classmethod
     def full(cls, n: int) -> BinRel:
@@ -122,7 +148,7 @@ def compose(r: BinRel, s: BinRel) -> BinRel:
         for c in _bits(row):
             acc |= srows[c]
         out.append(acc)
-    return BinRel(r.n, out)
+    return BinRel._trusted(r.n, tuple(out))
 
 
 def converse(r: BinRel) -> BinRel:
@@ -131,17 +157,17 @@ def converse(r: BinRel) -> BinRel:
     for a, row in enumerate(r.rows):
         for b in _bits(row):
             out[b] |= 1 << a
-    return BinRel(r.n, out)
+    return BinRel._trusted(r.n, tuple(out))
 
 
 def intersect(r: BinRel, s: BinRel) -> BinRel:
     _check_same_universe(r, s)
-    return BinRel(r.n, tuple(x & y for x, y in zip(r.rows, s.rows)))
+    return BinRel._trusted(r.n, tuple(x & y for x, y in zip(r.rows, s.rows)))
 
 
 def union(r: BinRel, s: BinRel) -> BinRel:
     _check_same_universe(r, s)
-    return BinRel(r.n, tuple(x | y for x, y in zip(r.rows, s.rows)))
+    return BinRel._trusted(r.n, tuple(x | y for x, y in zip(r.rows, s.rows)))
 
 
 def subset(r: BinRel, s: BinRel) -> bool:
@@ -155,9 +181,47 @@ class RelationShape(NamedTuple):
     transitive: bool
 
 
+@lru_cache(maxsize=32)
+def _shape_tables(n: int) -> tuple[tuple[int, ...], int]:
+    """_shape_flags's spread table and diagonal mask on n points.
+
+    spread[v] has bit i of the byte v moved to bit i * n, and the mask has
+    bit a * n + a for every a.  The table has 256 entries of at most
+    7 * n + 1 bits whatever n is, not one entry per possible row.
+    """
+    spread = [0]
+    for i in range(8):
+        bit = 1 << i * n
+        spread += [v | bit for v in spread]
+    return tuple(spread), sum(1 << a * (n + 1) for a in range(n))
+
+
+def _shape_flags(r: BinRel) -> tuple[bool, bool]:
+    """(reflexive, symmetric): the package's one test of either, with no loop over pairs.
+
+    The rows are packed into one n * n-bit integer, with pair (a, b) at bit
+    a * n + b, and its transpose, with (a, b) at bit b * n + a, is built
+    alongside: byte k of row a is looked up in the spread table, which
+    takes its bit i to bit i * n, and shifted by 8 * k * n + a.  That is
+    one lookup per byte of a row.  r is symmetric when the two integers
+    are equal, and reflexive when the packed rows hold the diagonal mask.
+    """
+    n = r.n
+    spread, diagonal = _shape_tables(n)
+    step = 8 * n
+    packed = transposed = 0
+    for a, row in enumerate(r.rows):
+        packed |= row << a * n
+        shift = a
+        while row:
+            transposed |= spread[row & 255] << shift
+            row >>= 8
+            shift += step
+    return packed & diagonal == diagonal, packed == transposed
+
+
 def classify_shape(r: BinRel) -> RelationShape:
     """Reflexivity, symmetry and transitivity flags of a relation."""
-    reflexive = all(r.rows[a] >> a & 1 for a in range(r.n))
-    symmetric = r == converse(r)
+    reflexive, symmetric = _shape_flags(r)
     transitive = subset(compose(r, r), r)
     return RelationShape(reflexive, symmetric, transitive)

@@ -15,6 +15,7 @@ from tolrep import (
 )
 from tolrep.algebras import _grow, eval_op
 from tolrep.decide import WeakRepWitness, _congruence_close
+from tolrep.relations import _bits
 from tolrep.terms import Compose, Intersect, TermGraph, Var
 
 
@@ -220,6 +221,18 @@ def compatible_oracle(algebra: Algebra, rel: BinRel) -> bool:
     pairs = set(rel.pairs())
     return all(_image(algebra, op, args) in pairs
                for op in algebra.ops for args in product(pairs, repeat=op.arity))
+
+
+def shape_flags_oracle(rel: BinRel) -> tuple[bool, bool]:
+    """(reflexive, symmetric), pair by pair on the rows, with no converse built.
+
+    Each row must hold its own element, and each element b of row a must
+    have a in its row.
+    """
+    rows = rel.rows
+    reflexive = all(row >> a & 1 for a, row in enumerate(rows))
+    symmetric = all(rows[b] >> a & 1 for a, row in enumerate(rows) for b in _bits(row))
+    return reflexive, symmetric
 
 
 def run_python(*args, stdout=subprocess.PIPE):

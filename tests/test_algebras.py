@@ -15,6 +15,7 @@ from helpers import (
     near_projection_algebras,
     symmetric_algebras,
 )
+import tolrep.algebras as algebras_module
 from tolrep import (
     Algebra,
     BinRel,
@@ -25,19 +26,25 @@ from tolrep import (
     classify_relation,
     classify_shape,
     closure,
+    compose,
+    converse,
     corpus_get,
     eval_op,
     expand,
     find_representation,
+    intersect,
     is_compatible,
     subset,
+    union,
 )
 from tolrep.algebras import (
+    _codes,
     _grow,
     _kept_positions,
     _reflexive_symmetric,
     _square_tables,
 )
+from tolrep.decide import _congruence_close
 
 
 def two_chain():
@@ -235,6 +242,71 @@ class TestKernelOracle:
         rel = closure(alg, [(0, 1)], "reflexive")
         assert _grow(alg, rel, [(0, 1), (2, 2)]) is rel
         assert _grow(alg, rel, []) is rel
+
+
+def codes_of(rel):
+    return {a * rel.n + b for a, b in rel.pairs()}
+
+
+class TestTrustedConstruction:
+    """Relations built from valid rows or codes skip the constructor's checks, and pass them."""
+
+    @settings(max_examples=60)
+    @given(algebras(max_n=4, max_arity=3), st.data())
+    def test_every_unchecked_result_passes_the_checks(self, alg, data):
+        n = alg.n
+        seed, extra = data.draw(seed_and_extra(alg))
+        r, s = data.draw(binrels_on(n)), data.draw(binrels_on(n))
+        tolerance = closure(alg, seed, "reflexive-symmetric")
+        built = [closure(alg, seed, "reflexive"), tolerance,
+                 _grow(alg, tolerance, extra + [(b, a) for a, b in extra]),
+                 compose(r, s), converse(r), intersect(r, s), union(r, s),
+                 _congruence_close(tolerance), BinRel.diagonal(n)]
+        for rel in built:
+            assert type(rel.rows) is tuple
+            assert rel == BinRel(rel.n, rel.rows)
+
+
+class TestCodeHandOff:
+    """_codes serves the relations _grow last grew and returned, and the diagonal, from slots."""
+
+    @settings(max_examples=60)
+    @given(algebras(max_n=4, max_arity=3), st.data())
+    def test_grow_a_b_a(self, alg, data):
+        n = alg.n
+        pairs = st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3)
+        seed_a, seed_b = data.draw(pairs), data.draw(pairs)
+        a, b = closure(alg, seed_a, "reflexive"), closure(alg, seed_b, "reflexive")
+        for rel, seed in ((a, seed_a), (b, seed_b), (a, seed_a)):
+            extra = data.draw(pairs)
+            grown = _grow(alg, rel, extra)
+            assert grown == closure_oracle(alg, seed + extra, symmetric=False)
+            assert set(_codes(rel)) == codes_of(rel)
+            assert is_compatible(alg, grown) and compatible_oracle(alg, grown)
+            assert set(_codes(grown)) == codes_of(grown)
+            other = data.draw(binrels_on(n))
+            assert is_compatible(alg, other) == compatible_oracle(alg, other)
+
+    def test_each_slot_serves_its_own_relation(self):
+        alg = corpus_get("n5").algebra
+        n = alg.n
+        diag = BinRel.diagonal(n)
+        assert _codes(diag) == range(0, n * n, n + 1)
+        child = _grow(alg, diag, [(1, 2)])
+        assert algebras_module._grown[0] is diag
+        assert algebras_module._returned[0] is child
+        assert _codes(child) is algebras_module._returned[1]  # the child slot
+        grandchild = _grow(alg, child, [(2, 1)])
+        assert child != grandchild
+        assert algebras_module._grown[0] is child
+        assert _codes(child) is algebras_module._grown[1]  # the parent slot
+        assert _codes(grandchild) is algebras_module._returned[1]
+        # Handed-off codes are in the kernel's order, so they compare as sets.
+        for rel in (diag, child, grandchild):
+            assert set(_codes(rel)) == codes_of(rel)
+            assert len(_codes(rel)) == rel.pair_count()
+        twin = BinRel(n, grandchild.rows)  # equal, but in no slot: read off its rows
+        assert list(_codes(twin)) == sorted(codes_of(grandchild))
 
 
 class TestCompatibility:

@@ -1,8 +1,17 @@
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
-from helpers import binrels, compose_oracle, rel_pairs, rel_triples
+from helpers import (
+    binrels,
+    binrels_on,
+    compose_oracle,
+    rel_pairs,
+    rel_triples,
+    shape_flags_oracle,
+)
 from tolrep import (
+    Algebra,
     BinRel,
     DimensionError,
     classify_shape,
@@ -12,6 +21,8 @@ from tolrep import (
     subset,
     union,
 )
+from tolrep.algebras import _reflexive_symmetric
+from tolrep.relations import _shape_flags
 
 
 class TestConstruction:
@@ -26,6 +37,15 @@ class TestConstruction:
     def test_rejects_out_of_range_bits(self):
         with pytest.raises(ValueError):
             BinRel(2, [0b100, 0])
+
+    def test_public_constructor_keeps_every_check(self):
+        # Only rows computed from valid relations skip these (BinRel._trusted).
+        with pytest.raises(ValueError, match="^expected 3 rows, got 4$"):
+            BinRel(3, [1, 2, 4, 0])
+        with pytest.raises(ValueError, match="^row 1 has bits outside the universe$"):
+            BinRel(3, [1, -2, 4])
+        with pytest.raises(ValueError, match="^row 2 has bits outside the universe$"):
+            BinRel(3, [1, 2, 0b1100])
 
     def test_diagonal(self):
         d = BinRel.diagonal(3)
@@ -148,6 +168,54 @@ class TestClassifyShape:
     @given(binrels())
     def test_transitive_means_closed_under_compose(self, r):
         assert classify_shape(r).transitive == subset(compose(r, r), r)
+
+
+def banded(n):
+    """Rows of a reflexive symmetric relation with pairs in every byte of most rows.
+
+    a and b are related when a == b, when 3 divides a + b, or when {a, b}
+    is {0, n - 1}.
+    """
+    rows = [sum(1 << b for b in range(n) if a == b or (a + b) % 3 == 0) for a in range(n)]
+    rows[0] |= 1 << n - 1
+    rows[n - 1] |= 1
+    return rows
+
+
+class TestShapeFlags:
+    """The packed-row test of reflexivity and symmetry against the pair-by-pair oracle."""
+
+    @given(st.data())
+    def test_matches_the_oracle(self, data):
+        n = data.draw(st.integers(1, 20))
+        rel = data.draw(binrels_on(n, reflexive=data.draw(st.booleans()),
+                                   symmetric=data.draw(st.booleans())))
+        flip = data.draw(st.none() | st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))
+        if flip is not None:  # one pair toggled: often just short of reflexive or symmetric
+            rows = list(rel.rows)
+            rows[flip[0]] ^= 1 << flip[1]
+            rel = BinRel(n, rows)
+        want = shape_flags_oracle(rel)
+        assert _shape_flags(rel) == want
+        assert classify_shape(rel)[:2] == want
+        assert _reflexive_symmetric(Algebra(n), rel) == all(want)
+
+    # Sizes on both sides of the byte boundaries of the spread table.
+    @pytest.mark.parametrize("n", [8, 9, 16, 17, 64, 256])
+    def test_byte_boundaries(self, n):
+        rows = banded(n)
+        no_loop = rows.copy()
+        no_loop[n - 1] ^= 1 << n - 1          # the last diagonal pair
+        last_byte = rows.copy()
+        last_byte[0] ^= 1 << n - 1            # (0, n - 1), in the last byte of row 0
+        first_byte = rows.copy()
+        first_byte[n - 1] ^= 1                # (n - 1, 0), in the first byte of the last row
+        cases = [(rows, (True, True)), (no_loop, (False, True)),
+                 (last_byte, (True, False)), (first_byte, (True, False))]
+        for case, want in cases:
+            rel = BinRel(n, case)
+            assert shape_flags_oracle(rel) == want
+            assert _shape_flags(rel) == want
 
 
 class TestHashing:
