@@ -26,15 +26,21 @@ MAX_PLAN_ENTRIES image codes, or whose symmetry search would look up
 more table entries than that, raises BudgetExceeded before anything is
 built.  A position is kept unless a permutation of the
 arguments that leaves the operation unchanged sends it to an earlier
-position: its images would repeat that position's.  The closure kernel is
-semi-naive (as in Datalog fixpoint evaluation): its code list is a FIFO
-worklist, and code i meets only codes[:i + 1], so each argument tuple is
-built once its last-added component is reached at a kept position.  A
-whole row of images is picked and tested against the code set in one
-step; the rows of an operation of arity 3 or more are picked, tested and
-gathered in C, with no Python bytecode run per row.  is_compatible runs
-the same kernel over a relation's codes, with nothing closed yet, and
-stops at the first code with an image outside them.
+position: its images would repeat that position's.  A binary
+operation's byte rows are padded with zeros to 256 bytes, so that they
+are translation tables.  The closure kernel is semi-naive (as in Datalog
+fixpoint evaluation): its code list is a FIFO worklist, a bytearray while
+the codes fit in a byte, and code i meets only codes[:i + 1], so each
+argument tuple is built once its last-added component is reached at a
+kept position.  A whole row of images is picked and tested against the
+code set in one step: a binary row by one bytes.translate call while the
+codes fit in a byte, and the rows of an operation of arity 3 or more are
+picked, tested and gathered in C, with no Python bytecode run per row.
+A relation's codes travel with it: _grow takes them from its caller and
+returns the grown relation's, so a search or a listing never reads them
+back off the rows.  is_compatible runs the same kernel over a relation's
+codes, with nothing closed yet, and stops at the first code with an
+image outside them.
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ from sys import byteorder
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import BudgetExceeded, DimensionError
-from .relations import BinRel, _diagonal_rows, _shape_flags, classify_shape
+from .relations import BinRel, _shape_flags, classify_shape
 
 __all__ = [
     "OperationTable",
@@ -193,7 +199,11 @@ class _Plan(NamedTuple):
     last, whose innermost entries are rows of the m image codes over the
     last.  So a binary operation's tables are rows, with rows[c][d] the
     image of (c, d), and, unless it is commutative, cols, with cols[c][d]
-    the image of (d, c).  _kept_positions says which positions are kept.
+    the image of (d, c).  While the m = n * n codes fit in a byte, a
+    binary row is 256 bytes, the m images and then zeros, so
+    head.translate(rows[c]) picks the images of c with the codes in head;
+    the rows of higher arities stay m bytes long.  _kept_positions says
+    which positions are kept.
     """
 
     unary: tuple[tuple[int, ...], ...]
@@ -208,7 +218,8 @@ def _square_tables(algebra: Algebra) -> _Plan:
     operation gets one row table from _row_table per kept position, so a
     commutative binary operation has no cols and a fully symmetric
     ternary one a single table.  Rows are bytes while the m = n * n codes
-    fit in a byte (n <= 16), and tuples beyond.  An operation's plan
+    fit in a byte (n <= 16), binary ones padded to 256 bytes, and tuples
+    beyond.  An operation's plan
     holds m ** arity image codes, and its symmetry search looks up n **
     arity entries for each of the arity! argument orders.  So before
     anything is built, an operation past MAX_PLAN_ENTRIES on either count
@@ -300,7 +311,9 @@ def _row_table(tab, arity, n):
     As x * n + y <= m - 1 < 256 ** width, no entry carries into the next,
     so the sum's bytes are the flat table.  Its consecutive m-slices are
     the rows over the last position, grouped by m once per other position,
-    innermost first.  Every other kept position's table is this table of
+    innermost first.  A binary operation's byte rows are padded with zeros
+    to 256 bytes, the length of a bytes.translate table; no pick reads
+    past entry m - 1.  Every other kept position's table is this table of
     the operation with that position moved first.
     """
     m = n * n
@@ -330,6 +343,8 @@ def _row_table(tab, arity, n):
     table = [flat[i:i + m] for i in range(0, len(flat), m)]
     if width == 2:
         table = list(map(tuple, table))
+    elif arity == 2:
+        table = [row.ljust(256, b"\0") for row in table]
     for _ in range(arity - 1):
         table = [tuple(table[i:i + m]) for i in range(0, len(table), m)]
     return table[0]
@@ -339,33 +354,38 @@ def _saturate(plan, member, codes, start, stop=False):
     """Close the code list under the operations of the plan, semi-naively.
 
     plan is the algebra's kernel plan, from _square_tables.  codes is
-    its own FIFO worklist and codes[:start] is already closed.  Code i is
-    combined only with codes[:i + 1], in every kept argument position, so
-    an argument tuple is built only once its last-added component is
-    reached, and no tuple inside the closed prefix is built.  A dropped
-    position would add nothing new: its images are those of an earlier
-    kept position of the same operation (see _kept_positions), which are
+    its own FIFO worklist and codes[:start] is already closed: a bytearray
+    while the codes fit in a byte, and a list beyond.  Code i is combined
+    only with codes[:i + 1], in every kept argument position, so an
+    argument tuple is built only once its last-added component is reached,
+    and no tuple inside the closed prefix is built.  A dropped position
+    would add nothing new: its images are those of an earlier kept
+    position of the same operation (see _kept_positions), which are
     already in member or earlier in found, so dropping it changes neither
     the closure nor the order of codes.  member is the set of codes
     present; a whole row of images is picked and tested against it at
     once.  The table of each kept position is entered at code i and picked
     at codes[:i + 1].  For arity 2 that pick is already the row of images,
-    tested in one direct step: sending that one row through the pipeline
-    for higher arities costs more than it saves.  For arity k >= 3 the
-    pick descends k - 2 levels down to rows, which are then picked, tested
-    and gathered without a Python loop per row.  New images are appended after each
-    code.  Images of swapped tuples are the swapped images, so a
-    symmetric start closes to a symmetric list.
+    tested in one direct step; on byte codes it is codes[:i + 1].translate
+    of the 256-byte row, one C call, and otherwise an itemgetter over
+    codes[:i + 1], which is built only when a pick needs it.  For arity
+    k >= 3 the pick descends k - 2 levels down to rows, which are then
+    picked by that itemgetter, tested and gathered without a Python loop
+    per row.  New images are appended after each code.  Images of swapped
+    tuples are the swapped images, so a symmetric start closes to a
+    symmetric list.
 
-    _grow closes; is_compatible sets stop and only tests, from start 0.
-    Then the first code with an image outside member returns False before
-    anything is added, and a list that is already closed returns True.  An
-    empty plan returns at once, without a pass over the codes.
+    _grow closes; is_compatible sets stop and only tests, from start 0,
+    so its codes may be bytes or a tuple.  Then the first code with an
+    image outside member returns False before anything is added, and a
+    list that is already closed returns True.  An empty plan returns at
+    once, without a pass over the codes.
     """
     unary, tables = plan
     if not (unary or tables):
         return True
     covered = member.issuperset
+    bytewise = isinstance(codes, (bytes, bytearray))
     i = start
     while i < len(codes):
         c = codes[i]
@@ -373,14 +393,20 @@ def _saturate(plan, member, codes, start, stop=False):
         if unary and not covered(unary[c]):
             found += unary[c]
         if tables:
-            pick = _picker(codes[:i + 1])
+            head = codes[:i + 1]
+            if bytewise:
+                pick_row, pick = head.translate, None
+            else:
+                pick_row = pick = _picker(head)
             for arity, by_position in tables:
                 if arity == 2:
                     for table in by_position:
-                        images = pick(table[c])
+                        images = pick_row(table[c])
                         if not covered(images):
                             found += images
                     continue
+                if pick is None:
+                    pick = _picker(head)
                 for table in by_position:
                     rows = pick(table[c])
                     for _ in range(arity - 3):
@@ -404,6 +430,16 @@ def _picker(idx):
     return itemgetter(*idx)
 
 
+def _packed(n: int, codes: Iterable[int]) -> Sequence[int]:
+    """Pair codes on n points as the kernel carries them: bytes while n * n <= 256, else a tuple."""
+    return bytes(codes) if n * n <= 256 else tuple(codes)
+
+
+def _diagonal_codes(n: int) -> Sequence[int]:
+    """The codes of the diagonal on n points, every (n + 1)-th one, packed."""
+    return _packed(n, range(0, n * n, n + 1))
+
+
 def closure(algebra: Algebra, seed: Iterable[tuple[int, int]], mode: str) -> BinRel:
     """Least relation containing the seed that the mode and the operations allow.
 
@@ -425,32 +461,18 @@ def closure(algebra: Algebra, seed: Iterable[tuple[int, int]], mode: str) -> Bin
     if mode == "reflexive-symmetric":
         seed += [(b, a) for a, b in seed]
     # The diagonal is closed: operations map diagonal tuples to the diagonal.
-    return _grow(algebra, BinRel.diagonal(n), seed)
-
-
-# The relation _grow last grew and the one it last returned, each held
-# with its codes as one (rel, codes) tuple that is rebound in a single
-# assignment, so no relation is ever read with another's codes.
-_grown = _returned = (None, ())
+    return _grow(algebra, BinRel.diagonal(n), _diagonal_codes(n), seed)[0]
 
 
 def _codes(rel: BinRel) -> Sequence[int]:
-    """The pair codes of rel, in no fixed order; callers must not change them.
+    """The pair codes of rel, read off its rows row-major and packed.
 
-    A search grows a node by every candidate and then descends into the
-    child _grow just returned, and a listing grows one item by many pairs
-    in a row, so both of those relations keep the codes _grow had for
-    them: for the one it returned, the grown relation's codes and then the
-    new ones in the order the kernel found them.  Any other relation's
-    codes are read off its rows, row-major, and the diagonal's are
-    range(0, n * n, n + 1).
+    Only for relations that come without their codes, as tolerance_join's
+    and is_compatible's arguments do.  The searches and listings start
+    from _diagonal_codes and carry each relation's codes from the _grow
+    that built it.
     """
-    for held, codes in (_grown, _returned):  # each slot read once, as a whole
-        if held is rel:
-            return codes
     n = rel.n
-    if rel.rows == _diagonal_rows(n):
-        return range(0, n * n, n + 1)
     codes = []
     for a, row in enumerate(rel.rows):
         base = a * n
@@ -458,43 +480,41 @@ def _codes(rel: BinRel) -> Sequence[int]:
             low = row & -row
             codes.append(base + low.bit_length() - 1)
             row ^= low
-    return codes
+    return _packed(n, codes)
 
 
-def _grow(algebra: Algebra, rel: BinRel, extra: Iterable[tuple[int, int]]) -> BinRel:
-    """Closure of rel plus exactly the extra pairs, assuming rel itself is already closed.
+def _grow(algebra: Algebra, rel: BinRel, codes: Sequence[int],
+          extra: Iterable[tuple[int, int]]) -> tuple[BinRel, Sequence[int]]:
+    """(closure of rel plus exactly the extra pairs, its codes), for a closed rel with these codes.
 
-    The one way to grow a relation in the closure kernel.  The plan is
-    fetched first, so every call builds it for a new algebra.  Returns rel
-    itself when extra adds nothing; otherwise only the new codes are ORed
-    into a copy of its rows, and the result is built unchecked, as every
-    code is a valid pair.  rel and the result are kept with their codes
-    for the next call (see _codes).  A symmetric rel grown by pairs listed
-    with their converses stays symmetric (see _saturate), so tolerance
-    callers pass each converse themselves.
+    The one way to grow a relation in the closure kernel.  codes are rel's
+    pair codes in any order, and are not changed.  The plan is fetched
+    first, so every call builds it for a new algebra.  Returns rel and
+    codes themselves when extra adds nothing; otherwise the kernel's
+    worklist starts as a copy of codes, only the new codes are ORed into a
+    copy of rel's rows, and the result is built unchecked, as every code
+    is a valid pair.  The codes returned are packed (see _packed): rel's,
+    then the new ones in the order the kernel found them.  A symmetric rel
+    grown by pairs listed with their converses stays symmetric (see
+    _saturate), so tolerance callers pass each converse themselves.
     """
-    global _grown, _returned
     n = algebra.n
     plan = _square_tables(algebra)
-    codes = _codes(rel)
-    _grown = (rel, codes)
     member = set(codes)
-    codes = list(codes)
-    start = len(codes)
+    work = bytearray(codes) if n * n <= 256 else list(codes)
+    start = len(work)
     for a, b in extra:
         code = a * n + b
         if code not in member:
             member.add(code)
-            codes.append(code)
-    if len(codes) == start:
-        return rel
-    _saturate(plan, member, codes, start)
+            work.append(code)
+    if len(work) == start:
+        return rel, codes
+    _saturate(plan, member, work, start)
     rows = list(rel.rows)
-    for code in islice(codes, start, None):
+    for code in islice(work, start, None):
         rows[code // n] |= 1 << (code % n)
-    grown = BinRel._trusted(n, tuple(rows))
-    _returned = (grown, codes)
-    return grown
+    return BinRel._trusted(n, tuple(rows)), _packed(n, work)
 
 
 def is_compatible(algebra: Algebra, rel: BinRel) -> bool:

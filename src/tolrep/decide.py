@@ -9,10 +9,12 @@ relations, tolerances and congruences and a congruence permutability check.
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import islice
 from typing import Iterator, NamedTuple, Optional
 
-from .algebras import Algebra, _grow, _reflexive_symmetric, _require_tolerance, is_compatible
+from .algebras import (Algebra, _codes, _diagonal_codes, _grow, _reflexive_symmetric,
+                       _require_tolerance, is_compatible)
 from .errors import BudgetExceeded
 from .relations import BinRel, _bits, _shape_flags, compose, converse, intersect, subset, union
 
@@ -105,13 +107,14 @@ def _cover_search(algebra: Algebra, cover: BinRel, allowed: BinRel, spend) -> Op
     its parent has (the root does, as allowed is reflexive), and so does
     R itself, since S ⊆ S∘S⁻ for a reflexive S.
 
-    The viable candidates of an uncovered (a, b) are allowed[a] &
-    allowed[b] minus forb[a] | forb[b].  This is sound: any solution
-    S ⊇ R covers (a, b) through some c with (a, c) and (b, c) in S, so c
-    lies in allowed[a] & allowed[b], as S ⊆ S∘S⁻ ⊆ allowed; and if c were
-    in forb[a], then c ∈ R[y] ⊆ S[y] for a y with (a, y) outside allowed,
-    so rows a and y of S would meet (likewise for b).  A state with an
-    uncovered pair that has no viable candidate is dead: it has no child.
+    The viable candidates of an uncovered (a, b) are the points outside
+    forb[a] | forb[b].  They lie in allowed[a] & allowed[b], since forb
+    only grows from the root's, which holds every y outside allowed[x].
+    This is sound: any solution S ⊇ R covers (a, b) through some c with
+    (a, c) and (b, c) in S; if c were in forb[a], then c ∈ R[y] ⊆ S[y]
+    for a y with (a, y) outside allowed, so rows a and y of S would meet
+    (likewise for b).  A state with an uncovered pair that has no viable
+    candidate is dead: it has no child.
     Otherwise the search branches fail-first, on the uncovered pair with
     the fewest viable candidates; ties go by index, to the least a and then
     the least b, and the scan stops at a pair with one viable candidate.
@@ -120,16 +123,16 @@ def _cover_search(algebra: Algebra, cover: BinRel, allowed: BinRel, spend) -> Op
 
     cover must be symmetric, and allowed reflexive and symmetric, as R∘R⁻
     is.  spend() is called once per relation built.  Candidates are tried
-    in ascending index order, so the result is canonical.
+    in ascending index order, so the result is canonical.  Each frame
+    carries its relation's kernel codes, which _grow takes and extends.
     """
     n = algebra.n
-    arows = allowed.rows
-    order = [(a, b, arows[a] & arows[b]) for a in range(n) for b in range(a + 1, n)
-             if cover.rows[a] >> b & 1]
-    outside = [((1 << n) - 1) ^ row for row in arows]  # the y with (x, y) not allowed
+    full = (1 << n) - 1
+    order = [(a, b) for a in range(n) for b in range(a + 1, n) if cover.rows[a] >> b & 1]
+    outside = [full ^ row for row in allowed.rows]  # the y with (x, y) not allowed
 
-    def frame(rel, forb):
-        """(rel, forb, a, b, candidates) for the fail-first uncovered pair.
+    def frame(rel, codes, forb):
+        """(rel, codes, forb, a, b, candidates) for the fail-first uncovered pair.
 
         None when rel covers every cover pair; a dead state gets a frame
         with no candidates.
@@ -137,9 +140,9 @@ def _cover_search(algebra: Algebra, cover: BinRel, allowed: BinRel, spend) -> Op
         rows = rel.rows
         best = None
         least = n + 1
-        for a, b, cands in order:
+        for a, b in order:
             if not rows[a] & rows[b]:
-                viable = cands & ~(forb[a] | forb[b])
+                viable = full & ~(forb[a] | forb[b])
                 count = viable.bit_count()
                 if count < least:
                     best, least = (a, b, viable), count
@@ -148,7 +151,7 @@ def _cover_search(algebra: Algebra, cover: BinRel, allowed: BinRel, spend) -> Op
         if best is None:
             return None
         a, b, viable = best
-        return rel, forb, a, b, _bits(viable)
+        return rel, codes, forb, a, b, _bits(viable)
 
     def checked(old, rows, forb):
         """forb updated from the rows that changed, or None when one meets a row it may not."""
@@ -164,18 +167,18 @@ def _cover_search(algebra: Algebra, cover: BinRel, allowed: BinRel, spend) -> Op
     # Depth-first, with one frame per level: the depth is bounded only by
     # the number of cover pairs.
     root = BinRel.diagonal(n)
-    top = frame(root, outside)
+    top = frame(root, _diagonal_codes(n), outside)
     if top is None:
         return root
     stack = [top]
     while stack:
-        rel, forb, a, b, rest = stack[-1]
+        rel, codes, forb, a, b, rest = stack[-1]
         for c in rest:
             spend()
-            child = _grow(algebra, rel, ((a, c), (b, c)))
+            child, child_codes = _grow(algebra, rel, codes, ((a, c), (b, c)))
             child_forb = checked(rel.rows, child.rows, forb)
             if child_forb is not None:
-                top = frame(child, child_forb)
+                top = frame(child, child_codes, child_forb)
                 if top is None:
                     return child
                 stack.append(top)
@@ -327,7 +330,8 @@ def iter_admissible(algebra: Algebra) -> Iterator[BinRel]:
     """
     n = algebra.n
     pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
-    return _join_closure(BinRel.diagonal(n), pairs, lambda r, pair: _grow(algebra, r, (pair,)))
+    return _join_closure((BinRel.diagonal(n), _diagonal_codes(n)), pairs,
+                         lambda r, codes, pair: _grow(algebra, r, codes, (pair,)))
 
 
 class AdmissibleEnumeration(NamedTuple):
@@ -410,18 +414,21 @@ def verify_weak_representation(algebra: Algebra, theta: BinRel, witness: WeakRep
     return BinRel(n, meet_rows) == theta
 
 
-def _join_closure(bottom: BinRel, pairs, join) -> Iterator[BinRel]:
+def _join_closure(bottom, pairs, join) -> Iterator[BinRel]:
     """The lattice generated by the principal members, breadth-first from bottom.
 
-    join(rel, pair) is the least member holding rel and pair, so the
-    principal member of a pair is join(bottom, pair).  Yields bottom, then
-    each distinct principal p_0, p_1, ... in pair order, then each new join
-    of an earlier item with a principal's first pair, as soon as it is
-    found.  Every member is the join of the principals inside it, so
-    joining each item with the principals whose pair it lacks reaches the
-    whole lattice.  A pair whose principal repeats an earlier one is absent
-    from an item exactly when the earlier pair is, so skipping it changes
-    nothing.
+    Every member travels with what join carries for it: bottom is a
+    (relation, codes) pair, and join(rel, codes, pair) returns that pair
+    for the least member holding rel and pair, so the principal member of
+    a pair is join's relation from bottom.  The codes are the kernel codes
+    for _grow, and None for congruences.  Yields bottom's relation, then
+    each distinct principal p_0, p_1, ... in pair order, then each new
+    join of an earlier item with a principal's first pair, as soon as it
+    is found.  Members are told apart by their row tuples.  Every member
+    is the join of the principals inside it, so joining each item with the
+    principals whose pair it lacks reaches the whole lattice.  A pair
+    whose principal repeats an earlier one is absent from an item exactly
+    when the earlier pair is, so skipping it changes nothing.
 
     Each item also keeps the index i of the principal whose join first
     produced it (p_i itself gets i), and is joined only with the p_j with
@@ -439,25 +446,29 @@ def _join_closure(bottom: BinRel, pairs, join) -> Iterator[BinRel]:
     this same rule, so by the claim for Z the result was already in seen;
     or it found p_i in Z, and then join(X, p_j) = Z.  This needs only that
     join is the lattice join, commutative and associative, which holds for
-    admissible relations, tolerances and congruences alike.
+    admissible relations, tolerances and congruences alike.  Items are
+    dropped once processed, with their codes.
     """
-    principals = {}
+    base, base_codes = bottom
+    principals = {}  # rows -> (relation, codes, first pair)
     for pair in pairs:
-        principals.setdefault(join(bottom, pair), pair)
-    firsts = list(principals.values())
-    items = [(rel, i) for i, rel in enumerate(principals)]
-    seen = {bottom, *principals}
-    yield bottom
-    yield from principals
-    for item, i in items:  # also visits the items added below
+        rel, codes = join(base, base_codes, pair)
+        principals.setdefault(rel.rows, (rel, codes, pair))
+    firsts = [pair for _, _, pair in principals.values()]
+    items = deque((rel, codes, i) for i, (rel, codes, _) in enumerate(principals.values()))
+    seen = {base.rows, *principals}
+    yield base
+    yield from (rel for rel, _, _ in items)
+    while items:  # also visits the items added below
+        item, codes, i = items.popleft()
         rows = item.rows
         for j in range(i + 1, len(firsts)):
             pair = firsts[j]
             if not rows[pair[0]] >> pair[1] & 1:
-                rel = join(item, pair)
-                if rel not in seen:
-                    seen.add(rel)
-                    items.append((rel, j))
+                rel, rel_codes = join(item, codes, pair)
+                if rel.rows not in seen:
+                    seen.add(rel.rows)
+                    items.append((rel, rel_codes, j))
                     yield rel
 
 
@@ -475,8 +486,8 @@ def enumerate_tolerances(algebra: Algebra, limit: int = DEFAULT_REL_BUDGET) -> l
     """All tolerances: _join_closure over the pairs a < b, each joined with its converse."""
     n = algebra.n
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    members = _join_closure(BinRel.diagonal(n), pairs,
-                            lambda r, pair: _grow(algebra, r, (pair, pair[::-1])))
+    members = _join_closure((BinRel.diagonal(n), _diagonal_codes(n)), pairs,
+                            lambda r, codes, pair: _grow(algebra, r, codes, (pair, pair[::-1])))
     return _lattice(members, limit, "tolerance")
 
 
@@ -509,10 +520,11 @@ def enumerate_congruences(algebra: Algebra, limit: int = DEFAULT_REL_BUDGET) -> 
     _congruence_close).
     """
     n = algebra.n
-    diag = BinRel.diagonal(n)
-    cg = {(a, b): _congruence_close(_grow(algebra, diag, ((a, b), (b, a))))
+    diag, codes = BinRel.diagonal(n), _diagonal_codes(n)
+    cg = {(a, b): _congruence_close(_grow(algebra, diag, codes, ((a, b), (b, a)))[0])
           for a in range(n) for b in range(a + 1, n)}
-    members = _join_closure(diag, cg, lambda r, pair: _congruence_close(union(r, cg[pair])))
+    members = _join_closure((diag, None), cg,
+                            lambda r, _, pair: (_congruence_close(union(r, cg[pair])), None))
     return _lattice(members, limit, "congruence")
 
 
@@ -520,7 +532,7 @@ def tolerance_join(algebra: Algebra, alpha: BinRel, beta: BinRel) -> BinRel:
     """Smallest tolerance containing both (their union re-closed)."""
     _require_tolerance(algebra, alpha)
     _require_tolerance(algebra, beta)
-    return _grow(algebra, alpha, beta.pairs())
+    return _grow(algebra, alpha, _codes(alpha), beta.pairs())[0]
 
 
 def check_permutability(algebra: Algebra, limit: int = DEFAULT_REL_BUDGET) -> PermutabilityReport:

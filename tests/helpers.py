@@ -13,7 +13,7 @@ from tolrep import (
     Algebra, BinRel, BudgetExceeded, OperationTable, closure, compose, converse, expand, subset,
     union,
 )
-from tolrep.algebras import _grow, eval_op
+from tolrep.algebras import _codes, _diagonal_codes, _grow, eval_op
 from tolrep.decide import WeakRepWitness, _congruence_close
 from tolrep.relations import _bits
 from tolrep.terms import Compose, Intersect, TermGraph, Var
@@ -312,6 +312,11 @@ def term_graph_oracle(term) -> TermGraph:
     return TermGraph(len(index), tuple(out), index[find(source)], index[find(sink)])
 
 
+def grow(algebra: Algebra, rel: BinRel, extra) -> BinRel:
+    """_grow's relation, from rel's codes read off its rows."""
+    return _grow(algebra, rel, _codes(rel), extra)[0]
+
+
 def admissible_bfs_oracle(algebra: Algebra):
     """All reflexive compatible relations, breadth-first from the diagonal.
 
@@ -332,7 +337,7 @@ def admissible_bfs_oracle(algebra: Algebra):
             row = rel.rows[a]
             for b in range(n):
                 if a != b and not row >> b & 1:
-                    nxt = _grow(algebra, rel, ((a, b),))
+                    nxt = grow(algebra, rel, ((a, b),))
                     if nxt not in seen:
                         seen.add(nxt)
                         queue.append(nxt)
@@ -417,7 +422,7 @@ def join_closure_oracle(algebra: Algebra, kind: str, limit: int = 10**5) -> list
     i = 0
     while i < len(items):
         for pred in range(i):
-            add(close(_grow(algebra, items[i], items[pred].pairs())))
+            add(close(grow(algebra, items[i], items[pred].pairs())))
         i += 1
     return sorted(items, key=lambda r: (r.pair_count(), r.rows))
 
@@ -425,42 +430,47 @@ def join_closure_oracle(algebra: Algebra, kind: str, limit: int = 10**5) -> list
 def join_arguments(algebra: Algebra, kind: str):
     """(bottom, pairs, join) as the enumeration of kind passes them to _join_closure.
 
-    kind is "admissible", "tolerance" or "congruence".
+    kind is "admissible", "tolerance" or "congruence".  bottom is the
+    diagonal with what join carries for it, and join(rel, codes, pair)
+    returns a (relation, codes) pair: kernel codes, or None for congruences.
     """
     n = algebra.n
-    diag = BinRel.diagonal(n)
+    diag, codes = BinRel.diagonal(n), _diagonal_codes(n)
     if kind == "admissible":
         pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
-        return diag, pairs, lambda r, pair: _grow(algebra, r, (pair,))
+        return (diag, codes), pairs, lambda r, c, pair: _grow(algebra, r, c, (pair,))
     if kind == "tolerance":
         pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-        return diag, pairs, lambda r, pair: _grow(algebra, r, (pair, pair[::-1]))
-    cg = {(a, b): _congruence_close(_grow(algebra, diag, ((a, b), (b, a))))
+        return (diag, codes), pairs, lambda r, c, pair: _grow(algebra, r, c, (pair, pair[::-1]))
+    cg = {(a, b): _congruence_close(grow(algebra, diag, ((a, b), (b, a))))
           for a in range(n) for b in range(a + 1, n)}
-    return diag, cg, lambda r, pair: _congruence_close(union(r, cg[pair]))
+    return (diag, None), cg, lambda r, _, pair: (_congruence_close(union(r, cg[pair])), None)
 
 
-def join_every_principal_oracle(bottom: BinRel, pairs, join):
+def join_every_principal_oracle(bottom, pairs, join):
     """_join_closure's sequence, joining every item with every principal.
 
-    Yields bottom, then each distinct principal join(bottom, pair) in pair
-    order, then each new join of an earlier item with a principal's first
-    pair whose pair the item lacks, as soon as it is found.  Unlike
-    _join_closure, it does not skip the principals before the one that
-    first produced an item, so it rebuilds many listed members.
+    Takes _join_closure's arguments.  Yields bottom's relation, then each
+    distinct principal in pair order, then each new join of an earlier
+    item with a principal's first pair whose pair the item lacks, as soon
+    as it is found.  Unlike _join_closure, it does not skip the principals
+    before the one that first produced an item, so it rebuilds many listed
+    members; and it tells relations apart as BinRel values.
     """
+    base, base_codes = bottom
     principals = {}
     for pair in pairs:
-        principals.setdefault(join(bottom, pair), pair)
-    items = [bottom, *principals]
-    seen = set(items)
-    yield from items
-    for item in islice(items, 1, None):  # also visits the items added below
+        rel, codes = join(base, base_codes, pair)
+        principals.setdefault(rel, (codes, pair))
+    items = [bottom, *((rel, codes) for rel, (codes, _) in principals.items())]
+    seen = {rel for rel, _ in items}
+    yield from [rel for rel, _ in items]
+    for item, codes in islice(items, 1, None):  # also visits the items added below
         rows = item.rows
-        for pair in principals.values():
+        for _, pair in principals.values():
             if not rows[pair[0]] >> pair[1] & 1:
-                rel = join(item, pair)
+                rel, rel_codes = join(item, codes, pair)
                 if rel not in seen:
                     seen.add(rel)
-                    items.append(rel)
+                    items.append((rel, rel_codes))
                     yield rel

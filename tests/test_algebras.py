@@ -12,10 +12,10 @@ from helpers import (
     closure_oracle,
     compatible_oracle,
     expanded_algebras,
+    grow,
     near_projection_algebras,
     symmetric_algebras,
 )
-import tolrep.algebras as algebras_module
 from tolrep import (
     Algebra,
     BinRel,
@@ -39,6 +39,7 @@ from tolrep import (
 )
 from tolrep.algebras import (
     _codes,
+    _diagonal_codes,
     _grow,
     _kept_positions,
     _reflexive_symmetric,
@@ -185,7 +186,7 @@ class TestKernelOracle:
             start = closure(alg, seed, mode)
             assert start == closure_oracle(alg, seed, symmetric)
             # _grow adds exactly the pairs given, so the symmetric mode passes converses.
-            grown = _grow(alg, start, extra + [(b, a) for a, b in extra] if symmetric else extra)
+            grown = grow(alg, start, extra + [(b, a) for a, b in extra] if symmetric else extra)
             assert grown == closure_oracle(alg, seed + extra, symmetric)
 
     @settings(max_examples=40)
@@ -240,8 +241,10 @@ class TestKernelOracle:
     def test_grow_returns_rel_when_nothing_is_new(self):
         alg = corpus_get("l7_majority").algebra
         rel = closure(alg, [(0, 1)], "reflexive")
-        assert _grow(alg, rel, [(0, 1), (2, 2)]) is rel
-        assert _grow(alg, rel, []) is rel
+        codes = _codes(rel)
+        for extra in ([(0, 1), (2, 2)], []):
+            grown, grown_codes = _grow(alg, rel, codes, extra)
+            assert grown is rel and grown_codes is codes
 
 
 def codes_of(rel):
@@ -259,7 +262,7 @@ class TestTrustedConstruction:
         r, s = data.draw(binrels_on(n)), data.draw(binrels_on(n))
         tolerance = closure(alg, seed, "reflexive-symmetric")
         built = [closure(alg, seed, "reflexive"), tolerance,
-                 _grow(alg, tolerance, extra + [(b, a) for a, b in extra]),
+                 grow(alg, tolerance, extra + [(b, a) for a, b in extra]),
                  compose(r, s), converse(r), intersect(r, s), union(r, s),
                  _congruence_close(tolerance), BinRel.diagonal(n)]
         for rel in built:
@@ -268,45 +271,81 @@ class TestTrustedConstruction:
 
 
 class TestCodeHandOff:
-    """_codes serves the relations _grow last grew and returned, and the diagonal, from slots."""
+    """_grow takes a relation's codes from its caller and returns the grown relation's."""
 
     @settings(max_examples=60)
     @given(algebras(max_n=4, max_arity=3), st.data())
     def test_grow_a_b_a(self, alg, data):
+        # a's child is grown from the codes it came with, after b was grown.
         n = alg.n
         pairs = st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3)
-        seed_a, seed_b = data.draw(pairs), data.draw(pairs)
-        a, b = closure(alg, seed_a, "reflexive"), closure(alg, seed_b, "reflexive")
-        for rel, seed in ((a, seed_a), (b, seed_b), (a, seed_a)):
+        held = {}
+        for key in "ab":
+            seed = data.draw(pairs)
+            rel = closure(alg, seed, "reflexive")
+            held[key] = rel, _codes(rel), seed
+        for key in "aba":
+            rel, codes, seed = held[key]
             extra = data.draw(pairs)
-            grown = _grow(alg, rel, extra)
+            grown, grown_codes = _grow(alg, rel, codes, extra)
             assert grown == closure_oracle(alg, seed + extra, symmetric=False)
-            assert set(_codes(rel)) == codes_of(rel)
+            assert set(codes) == codes_of(rel)
             assert is_compatible(alg, grown) and compatible_oracle(alg, grown)
-            assert set(_codes(grown)) == codes_of(grown)
+            assert set(grown_codes) == codes_of(grown)
+            assert len(grown_codes) == grown.pair_count()
+            held[key] = grown, grown_codes, seed + extra
             other = data.draw(binrels_on(n))
             assert is_compatible(alg, other) == compatible_oracle(alg, other)
 
-    def test_each_slot_serves_its_own_relation(self):
+    def test_codes_travel_with_each_relation(self):
         alg = corpus_get("n5").algebra
         n = alg.n
-        diag = BinRel.diagonal(n)
-        assert _codes(diag) == range(0, n * n, n + 1)
-        child = _grow(alg, diag, [(1, 2)])
-        assert algebras_module._grown[0] is diag
-        assert algebras_module._returned[0] is child
-        assert _codes(child) is algebras_module._returned[1]  # the child slot
-        grandchild = _grow(alg, child, [(2, 1)])
-        assert child != grandchild
-        assert algebras_module._grown[0] is child
-        assert _codes(child) is algebras_module._grown[1]  # the parent slot
-        assert _codes(grandchild) is algebras_module._returned[1]
-        # Handed-off codes are in the kernel's order, so they compare as sets.
-        for rel in (diag, child, grandchild):
-            assert set(_codes(rel)) == codes_of(rel)
-            assert len(_codes(rel)) == rel.pair_count()
-        twin = BinRel(n, grandchild.rows)  # equal, but in no slot: read off its rows
+        diag, diag_codes = BinRel.diagonal(n), _diagonal_codes(n)
+        assert diag_codes == bytes(range(0, n * n, n + 1)) == _codes(diag)
+        child, child_codes = _grow(alg, diag, diag_codes, [(1, 2)])
+        grandchild, grandchild_codes = _grow(alg, child, child_codes, [(2, 1)])
+        sibling, sibling_codes = _grow(alg, child, child_codes, [(0, 1)])
+        assert len({diag, child, grandchild, sibling}) == 4
+        # The kernel's order: the parent's codes, then the new ones.
+        assert grandchild_codes.startswith(child_codes)
+        assert sibling_codes.startswith(child_codes)
+        for rel, codes in ((diag, diag_codes), (child, child_codes),
+                           (grandchild, grandchild_codes), (sibling, sibling_codes)):
+            assert type(codes) is bytes
+            assert set(codes) == codes_of(rel)
+            assert len(codes) == rel.pair_count()
+        twin = BinRel(n, grandchild.rows)  # equal, but carries no codes: read off its rows
         assert list(_codes(twin)) == sorted(codes_of(grandchild))
+
+    @pytest.mark.parametrize("strategy", [
+        algebras(max_n=4, max_arity=3),
+        near_projection_algebras(min_n=16, max_n=16, max_ops=1, min_arity=2, max_arity=2),
+        near_projection_algebras(min_n=17, max_n=17, max_ops=1, min_arity=2, max_arity=2),
+    ], ids=["up-to-4", "binary-16", "binary-17"])
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_grow_from_shuffled_codes(self, strategy, data):
+        # Carried codes come in the kernel's order, not row-major, and as
+        # bytes or a tuple: bytes only while the n * n codes fit in a byte.
+        alg = data.draw(strategy)
+        n = alg.n
+        packed = bytes if n * n <= 256 else tuple
+        pairs = st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3)
+        seed, extra = data.draw(pairs), data.draw(pairs)
+        rel = closure(alg, seed, "reflexive")
+        shuffled = data.draw(st.permutations(sorted(codes_of(rel))))
+        as_bytes = packed is bytes and data.draw(st.booleans())
+        codes = bytes(shuffled) if as_bytes else tuple(shuffled)
+        grown, grown_codes = _grow(alg, rel, codes, extra)
+        assert grown == grow(alg, rel, extra)
+        assert grown == closure_oracle(alg, seed + extra, symmetric=False)
+        assert set(grown_codes) == codes_of(grown)
+        assert len(grown_codes) == grown.pair_count()
+        if grown is rel:
+            assert grown_codes is codes
+        else:
+            assert type(grown_codes) is packed
+            assert grown_codes[:len(codes)] == packed(codes)
 
 
 class TestCompatibility:
@@ -373,10 +412,13 @@ def assert_row_tables(image, arity, n, kept, tables):
     Entry c of the table of kept position p fixes c at p and nests over
     the positions other than p and q, in order, down to rows over q: the
     last position, or the one before it when p is last.  Rows are bytes
-    while the n * n codes fit in a byte, and tuples beyond.
+    while the n * n codes fit in a byte, and tuples beyond.  A binary
+    operation's byte rows are 256 long, the images and then zeros, as
+    bytes.translate needs; every other row holds just the images.
     """
     m = n * n
     row = bytes if m <= 256 else tuple
+    length = 256 if row is bytes and arity == 2 else m
     strides = [m ** (arity - 1 - j) for j in range(arity)]
     assert len(tables) == len(kept)
     for p, by_code in zip(kept, tables):
@@ -387,9 +429,10 @@ def assert_row_tables(image, arity, n, kept, tables):
             for c in fixed:
                 assert len(entry) == m
                 entry = entry[c]
-            assert type(entry) is row and len(entry) == m
+            assert type(entry) is row and len(entry) == length
             base = sum(c * strides[j] for c, j in zip(fixed, order))
-            assert list(entry) == image[base:base + m * strides[q]:strides[q]]
+            assert list(entry[:m]) == image[base:base + m * strides[q]:strides[q]]
+            assert not any(entry[m:])
 
 
 class TestKernelPlan:
@@ -421,7 +464,7 @@ class TestKernelPlan:
         alg = Algebra(3, (OperationTable("plan_grow", 1, (1, 2, 0)),))
         diag = BinRel.diagonal(3)
         before = _square_tables.cache_info().misses
-        assert _grow(alg, diag, [(1, 1), (2, 2)]) is diag  # each its own converse
+        assert grow(alg, diag, [(1, 1), (2, 2)]) is diag  # each its own converse
         assert _square_tables.cache_info().misses - before == 1
 
     def test_pickled_algebra_recomputes_its_hash(self):

@@ -768,10 +768,10 @@ class TestJoinClosure:
         bottom, pairs, join = join_arguments(corpus_get(name).algebra, "tolerance")
         calls = 0
 
-        def counted(rel, pair):
+        def counted(rel, codes, pair):
             nonlocal calls
             calls += 1
-            return join(rel, pair)
+            return join(rel, codes, pair)
 
         assert sum(1 for _ in _join_closure(bottom, pairs, counted)) == members
         assert calls == joins
