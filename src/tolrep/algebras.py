@@ -36,11 +36,11 @@ kept position.  A whole row of images is picked and tested against the
 code set in one step: a binary row by one bytes.translate call while the
 codes fit in a byte, and the rows of an operation of arity 3 or more are
 picked, tested and gathered in C, with no Python bytecode run per row.
-A relation's codes travel with it: _grow takes them from its caller and
-returns the grown relation's, so a search or a listing never reads them
-back off the rows.  is_compatible runs the same kernel over a relation's
-codes, with nothing closed yet, and stops at the first code with an
-image outside them.
+A relation keeps its own codes (BinRel._pair_codes): _grow reads rel's
+and builds the grown relation with its worklist, so a relation the kernel
+built never has its codes read back off its rows.  is_compatible runs the
+same kernel over a relation's codes, with nothing closed yet, and stops
+at the first code with an image outside them.
 """
 
 from __future__ import annotations
@@ -49,10 +49,10 @@ from functools import lru_cache
 from itertools import chain, count, filterfalse, islice, permutations, product
 from operator import itemgetter
 from sys import byteorder
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .errors import BudgetExceeded, DimensionError
-from .relations import BinRel, _shape_flags, classify_shape
+from .relations import BinRel, _packed, _shape_flags, classify_shape
 
 __all__ = [
     "OperationTable",
@@ -68,8 +68,8 @@ __all__ = [
 CLOSURE_MODES = ("reflexive", "reflexive-symmetric")
 
 # The most image codes one operation's kernel plan may hold, m ** arity,
-# and the most table entries its symmetry search may look up,
-# arity! * n ** arity.
+# the most table entries its symmetry search may look up,
+# arity! * n ** arity, and the most table entries expand may build.
 MAX_PLAN_ENTRIES = 2 ** 20
 
 
@@ -430,16 +430,6 @@ def _picker(idx):
     return itemgetter(*idx)
 
 
-def _packed(n: int, codes: Iterable[int]) -> Sequence[int]:
-    """Pair codes on n points as the kernel carries them: bytes while n * n <= 256, else a tuple."""
-    return bytes(codes) if n * n <= 256 else tuple(codes)
-
-
-def _diagonal_codes(n: int) -> Sequence[int]:
-    """The codes of the diagonal on n points, every (n + 1)-th one, packed."""
-    return _packed(n, range(0, n * n, n + 1))
-
-
 def closure(algebra: Algebra, seed: Iterable[tuple[int, int]], mode: str) -> BinRel:
     """Least relation containing the seed that the mode and the operations allow.
 
@@ -447,9 +437,9 @@ def closure(algebra: Algebra, seed: Iterable[tuple[int, int]], mode: str) -> Bin
     converse of every pair.  The result is closed under every operation of
     the algebra applied componentwise, hence always admissible (and a
     tolerance in the symmetric mode).  After checking the mode and the
-    seed, this is _grow from the diagonal, with the seed's converses
-    appended in the symmetric mode, so it builds the algebra's kernel plan
-    even when the seed adds nothing.
+    seed, this is _grow from the diagonal, which comes with its codes,
+    with the seed's converses appended in the symmetric mode, so it builds
+    the algebra's kernel plan even when the seed adds nothing.
     """
     if mode not in CLOSURE_MODES:
         raise ValueError(f"mode must be one of {CLOSURE_MODES}, got {mode!r}")
@@ -461,45 +451,24 @@ def closure(algebra: Algebra, seed: Iterable[tuple[int, int]], mode: str) -> Bin
     if mode == "reflexive-symmetric":
         seed += [(b, a) for a, b in seed]
     # The diagonal is closed: operations map diagonal tuples to the diagonal.
-    return _grow(algebra, BinRel.diagonal(n), _diagonal_codes(n), seed)[0]
+    return _grow(algebra, BinRel.diagonal(n), seed)
 
 
-def _codes(rel: BinRel) -> Sequence[int]:
-    """The pair codes of rel, read off its rows row-major and packed.
+def _grow(algebra: Algebra, rel: BinRel, extra: Iterable[tuple[int, int]]) -> BinRel:
+    """The closure of a closed rel plus exactly the extra pairs; rel itself if they add nothing.
 
-    Only for relations that come without their codes, as tolerance_join's
-    and is_compatible's arguments do.  The searches and listings start
-    from _diagonal_codes and carry each relation's codes from the _grow
-    that built it.
-    """
-    n = rel.n
-    codes = []
-    for a, row in enumerate(rel.rows):
-        base = a * n
-        while row:
-            low = row & -row
-            codes.append(base + low.bit_length() - 1)
-            row ^= low
-    return _packed(n, codes)
-
-
-def _grow(algebra: Algebra, rel: BinRel, codes: Sequence[int],
-          extra: Iterable[tuple[int, int]]) -> tuple[BinRel, Sequence[int]]:
-    """(closure of rel plus exactly the extra pairs, its codes), for a closed rel with these codes.
-
-    The one way to grow a relation in the closure kernel.  codes are rel's
-    pair codes in any order, and are not changed.  The plan is fetched
-    first, so every call builds it for a new algebra.  Returns rel and
-    codes themselves when extra adds nothing; otherwise the kernel's
-    worklist starts as a copy of codes, only the new codes are ORed into a
-    copy of rel's rows, and the result is built unchecked, as every code
-    is a valid pair.  The codes returned are packed (see _packed): rel's,
-    then the new ones in the order the kernel found them.  A symmetric rel
-    grown by pairs listed with their converses stays symmetric (see
-    _saturate), so tolerance callers pass each converse themselves.
+    The one way to grow a relation in the closure kernel.  The plan is
+    fetched first, so every call builds it for a new algebra.  The
+    worklist starts as a copy of rel's codes, only the new codes are ORed
+    into a copy of rel's rows, and the result is built unchecked, as every
+    code is a valid pair, with the worklist as its codes: rel's, then the
+    new ones in the order the kernel found them.  A symmetric rel grown by
+    pairs listed with their converses stays symmetric (see _saturate), so
+    tolerance callers pass each converse themselves.
     """
     n = algebra.n
     plan = _square_tables(algebra)
+    codes = rel._pair_codes()
     member = set(codes)
     work = bytearray(codes) if n * n <= 256 else list(codes)
     start = len(work)
@@ -509,24 +478,24 @@ def _grow(algebra: Algebra, rel: BinRel, codes: Sequence[int],
             member.add(code)
             work.append(code)
     if len(work) == start:
-        return rel, codes
+        return rel
     _saturate(plan, member, work, start)
     rows = list(rel.rows)
     for code in islice(work, start, None):
         rows[code // n] |= 1 << (code % n)
-    return BinRel._trusted(n, tuple(rows)), _packed(n, work)
+    return BinRel._trusted(n, tuple(rows), _packed(n, work))
 
 
 def is_compatible(algebra: Algebra, rel: BinRel) -> bool:
     """Do the operations preserve the relation componentwise?
 
-    rel's codes go to _saturate as a worklist with nothing closed, so each
-    tuple of related argument pairs is built once, a row of images at a
-    time, and the test stops at the first code with an image outside rel.
+    rel's own codes go to _saturate as a worklist with nothing closed, so
+    each tuple of related argument pairs is built once, a row of images at
+    a time, and the test stops at the first code with an image outside rel.
     """
     if rel.n != algebra.n:
         raise DimensionError(f"relation lives on {rel.n} elements, algebra on {algebra.n}")
-    codes = _codes(rel)
+    codes = rel._pair_codes()
     return _saturate(_square_tables(algebra), set(codes), codes, 0, stop=True)
 
 
@@ -578,9 +547,15 @@ def expand(algebra: Algebra, theta: BinRel) -> Algebra:
     theta stays a tolerance of the result, and any reflexive compatible
     relation of the expansion other than the diagonal contains theta,
     because an off-diagonal (c, d) maps onto every (a, b) with a theta b.
+    There are n + k * (2 ** n - 2) new tables for k off-diagonal pairs {a, b};
+    past MAX_PLAN_ENTRIES entries in all, BudgetExceeded is raised before any is built.
     """
     _require_tolerance(algebra, theta)
     n = algebra.n
+    needed = n + (theta.pair_count() - n) // 2 * ((1 << n) - 2)
+    if needed * n > MAX_PLAN_ENTRIES:
+        raise BudgetExceeded(f"expansion on {n} elements needs {needed} unary tables of {n} "
+                             f"entries, past the bound of {MAX_PLAN_ENTRIES}")
     tables = dict.fromkeys(func for a in range(n) for b in range(a, n) if theta.has(a, b)
                            for func in product((a,) if a == b else (a, b), repeat=n))
     # The new operations are named u0, u1, ..., skipping the names already taken.

@@ -13,8 +13,7 @@ from collections import deque
 from itertools import islice
 from typing import Iterator, NamedTuple, Optional
 
-from .algebras import (Algebra, _codes, _diagonal_codes, _grow, _reflexive_symmetric,
-                       _require_tolerance, is_compatible)
+from .algebras import Algebra, _grow, _reflexive_symmetric, _require_tolerance, is_compatible
 from .errors import BudgetExceeded
 from .relations import BinRel, _bits, _shape_flags, compose, converse, intersect, subset, union
 
@@ -89,14 +88,16 @@ def _budget(limit: int, what: str):
     return spend
 
 
-def _cover_search(algebra: Algebra, cover: BinRel, allowed: BinRel, spend) -> Optional[BinRel]:
+def _cover_search(algebra: Algebra, cover: list, allowed: BinRel, spend) -> Optional[BinRel]:
     """A reflexive compatible R with cover inside R∘R⁻ and R∘R⁻ inside allowed.
 
+    cover lists a symmetric relation's pairs (a, b) with a < b, row-major,
+    so a caller that runs many searches on one cover lists it once.
     (a, b) is in R∘R⁻ exactly when rows a and b of R meet; that is the one
     R∘R⁻ test here.  The root is the diagonal, which every operation
     preserves, and each state is kept compatibility-closed.  A cover pair
-    (a, b) with a < b is uncovered while its rows are apart; a branch adds
-    (a, c) and (b, c) for one candidate c and grows the closure.
+    is uncovered while its rows are apart; a branch adds (a, c) and (b, c)
+    for one candidate c and grows the closure.
 
     Each state carries forb: forb[x] is the union of the rows R[y] over the
     y with (x, y) outside allowed, so at the root forb[x] is the set of
@@ -121,18 +122,16 @@ def _cover_search(algebra: Algebra, cover: BinRel, allowed: BinRel, spend) -> Op
     Any solution above a state contains one of its children, so exhausting
     the tree proves no R exists.
 
-    cover must be symmetric, and allowed reflexive and symmetric, as R∘R⁻
-    is.  spend() is called once per relation built.  Candidates are tried
-    in ascending index order, so the result is canonical.  Each frame
-    carries its relation's kernel codes, which _grow takes and extends.
+    allowed must be reflexive and symmetric, as R∘R⁻ is.  spend() is
+    called once per relation built.  Candidates are tried in ascending
+    index order, so the result is canonical.
     """
     n = algebra.n
     full = (1 << n) - 1
-    order = [(a, b) for a in range(n) for b in range(a + 1, n) if cover.rows[a] >> b & 1]
     outside = [full ^ row for row in allowed.rows]  # the y with (x, y) not allowed
 
-    def frame(rel, codes, forb):
-        """(rel, codes, forb, a, b, candidates) for the fail-first uncovered pair.
+    def frame(rel, forb):
+        """(rel, forb, a, b, candidates) for the fail-first uncovered pair.
 
         None when rel covers every cover pair; a dead state gets a frame
         with no candidates.
@@ -140,7 +139,7 @@ def _cover_search(algebra: Algebra, cover: BinRel, allowed: BinRel, spend) -> Op
         rows = rel.rows
         best = None
         least = n + 1
-        for a, b in order:
+        for a, b in cover:
             if not rows[a] & rows[b]:
                 viable = full & ~(forb[a] | forb[b])
                 count = viable.bit_count()
@@ -151,7 +150,7 @@ def _cover_search(algebra: Algebra, cover: BinRel, allowed: BinRel, spend) -> Op
         if best is None:
             return None
         a, b, viable = best
-        return rel, codes, forb, a, b, _bits(viable)
+        return rel, forb, a, b, _bits(viable)
 
     def checked(old, rows, forb):
         """forb updated from the rows that changed, or None when one meets a row it may not."""
@@ -167,18 +166,18 @@ def _cover_search(algebra: Algebra, cover: BinRel, allowed: BinRel, spend) -> Op
     # Depth-first, with one frame per level: the depth is bounded only by
     # the number of cover pairs.
     root = BinRel.diagonal(n)
-    top = frame(root, _diagonal_codes(n), outside)
+    top = frame(root, outside)
     if top is None:
         return root
     stack = [top]
     while stack:
-        rel, codes, forb, a, b, rest = stack[-1]
+        rel, forb, a, b, rest = stack[-1]
         for c in rest:
             spend()
-            child, child_codes = _grow(algebra, rel, codes, ((a, c), (b, c)))
+            child = _grow(algebra, rel, ((a, c), (b, c)))
             child_forb = checked(rel.rows, child.rows, forb)
             if child_forb is not None:
-                top = frame(child, child_codes, child_forb)
+                top = frame(child, child_forb)
                 if top is None:
                     return child
                 stack.append(top)
@@ -192,11 +191,11 @@ def _certified(algebra: Algebra, theta: BinRel, search):
     """search()'s result, raising as _require_tolerance does unless theta is a tolerance.
 
     The searches assume theta has the algebra's size and is reflexive and
-    symmetric, so _reflexive_symmetric tests those first.  A witness
-    proves the rest, so compatibility, a kernel pass over theta's codes, is
-    left to _require_tolerance, which runs only when search() finds no
-    witness or raises BudgetExceeded (checked before re-raising).  A
-    non-tolerance thus always gets the same error.
+    symmetric, so _reflexive_symmetric tests those first.  A witness proves
+    the rest, so the compatibility check is left to _require_tolerance,
+    which runs only when search() finds no witness or raises
+    BudgetExceeded (checked before re-raising).  A non-tolerance thus
+    always gets the same error.
     """
     if not _reflexive_symmetric(algebra, theta):
         _require_tolerance(algebra, theta)  # always raises here
@@ -229,7 +228,9 @@ def find_representation(
     anything about theta.
     """
     spend = _budget(node_budget, "node")
-    found = _certified(algebra, theta, lambda: _cover_search(algebra, theta, theta, spend))
+    n = theta.n
+    cover = [(a, b) for a in range(n) for b in range(a + 1, n) if theta.rows[a] >> b & 1]
+    found = _certified(algebra, theta, lambda: _cover_search(algebra, cover, theta, spend))
     return RepWitness(found) if found is not None else None
 
 
@@ -330,8 +331,7 @@ def iter_admissible(algebra: Algebra) -> Iterator[BinRel]:
     """
     n = algebra.n
     pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
-    return _join_closure((BinRel.diagonal(n), _diagonal_codes(n)), pairs,
-                         lambda r, codes, pair: _grow(algebra, r, codes, (pair,)))
+    return _join_closure(BinRel.diagonal(n), pairs, lambda r, pair: _grow(algebra, r, (pair,)))
 
 
 class AdmissibleEnumeration(NamedTuple):
@@ -383,13 +383,14 @@ def _separators(algebra: Algebra, theta: BinRel, spend) -> Optional[WeakRepWitne
     full = (1 << n) - 1
     excluded = [(a, b) for a in range(n) for b in range(n)
                 if a != b and not theta.rows[a] >> b & 1]
+    cover = [(a, b) for a in range(n) for b in range(a + 1, n) if theta.rows[a] >> b & 1]
     found = {}
     for a, b in excluded:
         if a < b:
             rows = [full] * n
             rows[a] ^= 1 << b
             rows[b] ^= 1 << a
-            sep = _cover_search(algebra, theta, BinRel(n, rows), spend)
+            sep = _cover_search(algebra, cover, BinRel(n, rows), spend)
             if sep is None:
                 return None
             found[(a, b)] = sep
@@ -417,12 +418,9 @@ def verify_weak_representation(algebra: Algebra, theta: BinRel, witness: WeakRep
 def _join_closure(bottom, pairs, join) -> Iterator[BinRel]:
     """The lattice generated by the principal members, breadth-first from bottom.
 
-    Every member travels with what join carries for it: bottom is a
-    (relation, codes) pair, and join(rel, codes, pair) returns that pair
-    for the least member holding rel and pair, so the principal member of
-    a pair is join's relation from bottom.  The codes are the kernel codes
-    for _grow, and None for congruences.  Yields bottom's relation, then
-    each distinct principal p_0, p_1, ... in pair order, then each new
+    join(rel, pair) returns the least member holding rel and pair, so the
+    principal member of a pair is its join with bottom.  Yields bottom,
+    then each distinct principal p_0, p_1, ... in pair order, then each new
     join of an earlier item with a principal's first pair, as soon as it
     is found.  Members are told apart by their row tuples.  Every member
     is the join of the principals inside it, so joining each item with the
@@ -446,29 +444,27 @@ def _join_closure(bottom, pairs, join) -> Iterator[BinRel]:
     this same rule, so by the claim for Z the result was already in seen;
     or it found p_i in Z, and then join(X, p_j) = Z.  This needs only that
     join is the lattice join, commutative and associative, which holds for
-    admissible relations, tolerances and congruences alike.  Items are
-    dropped once processed, with their codes.
+    admissible relations, tolerances and congruences alike.
     """
-    base, base_codes = bottom
-    principals = {}  # rows -> (relation, codes, first pair)
+    principals = {}  # rows -> (relation, first pair)
     for pair in pairs:
-        rel, codes = join(base, base_codes, pair)
-        principals.setdefault(rel.rows, (rel, codes, pair))
-    firsts = [pair for _, _, pair in principals.values()]
-    items = deque((rel, codes, i) for i, (rel, codes, _) in enumerate(principals.values()))
-    seen = {base.rows, *principals}
-    yield base
-    yield from (rel for rel, _, _ in items)
+        rel = join(bottom, pair)
+        principals.setdefault(rel.rows, (rel, pair))
+    firsts = [pair for _, pair in principals.values()]
+    items = deque((rel, i) for i, (rel, _) in enumerate(principals.values()))
+    seen = {bottom.rows, *principals}
+    yield bottom
+    yield from (rel for rel, _ in items)
     while items:  # also visits the items added below
-        item, codes, i = items.popleft()
+        item, i = items.popleft()
         rows = item.rows
         for j in range(i + 1, len(firsts)):
             pair = firsts[j]
             if not rows[pair[0]] >> pair[1] & 1:
-                rel, rel_codes = join(item, codes, pair)
+                rel = join(item, pair)
                 if rel.rows not in seen:
                     seen.add(rel.rows)
-                    items.append((rel, rel_codes, j))
+                    items.append((rel, j))
                     yield rel
 
 
@@ -486,8 +482,8 @@ def enumerate_tolerances(algebra: Algebra, limit: int = DEFAULT_REL_BUDGET) -> l
     """All tolerances: _join_closure over the pairs a < b, each joined with its converse."""
     n = algebra.n
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    members = _join_closure((BinRel.diagonal(n), _diagonal_codes(n)), pairs,
-                            lambda r, codes, pair: _grow(algebra, r, codes, (pair, pair[::-1])))
+    members = _join_closure(BinRel.diagonal(n), pairs,
+                            lambda r, pair: _grow(algebra, r, (pair, pair[::-1])))
     return _lattice(members, limit, "tolerance")
 
 
@@ -520,11 +516,10 @@ def enumerate_congruences(algebra: Algebra, limit: int = DEFAULT_REL_BUDGET) -> 
     _congruence_close).
     """
     n = algebra.n
-    diag, codes = BinRel.diagonal(n), _diagonal_codes(n)
-    cg = {(a, b): _congruence_close(_grow(algebra, diag, codes, ((a, b), (b, a)))[0])
+    diag = BinRel.diagonal(n)
+    cg = {(a, b): _congruence_close(_grow(algebra, diag, ((a, b), (b, a))))
           for a in range(n) for b in range(a + 1, n)}
-    members = _join_closure((diag, None), cg,
-                            lambda r, _, pair: (_congruence_close(union(r, cg[pair])), None))
+    members = _join_closure(diag, cg, lambda r, pair: _congruence_close(union(r, cg[pair])))
     return _lattice(members, limit, "congruence")
 
 
@@ -532,7 +527,7 @@ def tolerance_join(algebra: Algebra, alpha: BinRel, beta: BinRel) -> BinRel:
     """Smallest tolerance containing both (their union re-closed)."""
     _require_tolerance(algebra, alpha)
     _require_tolerance(algebra, beta)
-    return _grow(algebra, alpha, _codes(alpha), beta.pairs())[0]
+    return _grow(algebra, alpha, beta.pairs())
 
 
 def check_permutability(algebra: Algebra, limit: int = DEFAULT_REL_BUDGET) -> PermutabilityReport:

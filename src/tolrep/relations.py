@@ -9,7 +9,7 @@ bit twiddling is both the fastest and the simplest representation.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DimensionError
 
@@ -33,9 +33,15 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _packed(n: int, codes: Iterable[int]) -> Sequence[int]:
+    """Pair codes as the closure kernel keeps them: bytes while n * n <= 256, else a tuple."""
+    return bytes(codes) if n * n <= 256 else tuple(codes)
+
+
 @lru_cache(maxsize=32)
-def _diagonal_rows(n: int) -> tuple[int, ...]:
-    return tuple(1 << a for a in range(n))
+def _diagonal(n: int) -> tuple[tuple[int, ...], Sequence[int]]:
+    """The diagonal's rows and its pair codes, every (n + 1)-th one, packed."""
+    return tuple(1 << a for a in range(n)), _packed(n, range(0, n * n, n + 1))
 
 
 def _check_size(n: int) -> None:
@@ -51,9 +57,13 @@ class BinRel:
     computed from rows or pair codes of valid relations on the same
     universe (their unions, intersections, compositions, transposes and
     kernel closures), which cannot leave it.
+
+    The closure kernel's pair codes a * n + b are kept in a private slot:
+    passed to _trusted, else read off the rows by _pair_codes.  Equality,
+    hashing and repr see only n and rows.
     """
 
-    __slots__ = ("n", "rows")
+    __slots__ = ("n", "rows", "_codes")
 
     def __init__(self, n: int, rows: Iterable[int]):
         _check_size(n)
@@ -66,13 +76,18 @@ class BinRel:
                 raise ValueError(f"row {a} has bits outside the universe")
         self.n = n
         self.rows = rows
+        self._codes = None
 
     @classmethod
-    def _trusted(cls, n: int, rows: tuple[int, ...]) -> BinRel:
-        """The relation with these rows, unchecked: a tuple of n rows inside the universe."""
+    def _trusted(cls, n: int, rows: tuple[int, ...], codes: Sequence[int] | None = None) -> BinRel:
+        """The relation with these rows, unchecked: a tuple of n rows inside the universe.
+
+        codes, when given, are exactly its pair codes, packed, in any order.
+        """
         rel = object.__new__(cls)
         rel.n = n
         rel.rows = rows
+        rel._codes = codes
         return rel
 
     @classmethod
@@ -82,7 +97,7 @@ class BinRel:
     @classmethod
     def diagonal(cls, n: int) -> BinRel:
         _check_size(n)
-        return cls._trusted(n, _diagonal_rows(n))
+        return cls._trusted(n, *_diagonal(n))
 
     @classmethod
     def full(cls, n: int) -> BinRel:
@@ -111,6 +126,20 @@ class BinRel:
 
     def pair_count(self) -> int:
         return sum(row.bit_count() for row in self.rows)
+
+    def _pair_codes(self) -> Sequence[int]:
+        """The packed pair codes: those kept, else read off the rows row-major and kept."""
+        codes = self._codes
+        if codes is None:
+            found = []
+            for a, row in enumerate(self.rows):
+                base = a * self.n
+                while row:
+                    low = row & -row
+                    found.append(base + low.bit_length() - 1)
+                    row ^= low
+            codes = self._codes = _packed(self.n, found)
+        return codes
 
     def __eq__(self, other):
         if not isinstance(other, BinRel):

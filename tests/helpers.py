@@ -13,7 +13,7 @@ from tolrep import (
     Algebra, BinRel, BudgetExceeded, OperationTable, closure, compose, converse, expand, subset,
     union,
 )
-from tolrep.algebras import _codes, _diagonal_codes, _grow, eval_op
+from tolrep.algebras import _grow, eval_op
 from tolrep.decide import WeakRepWitness, _congruence_close
 from tolrep.relations import _bits
 from tolrep.terms import Compose, Intersect, TermGraph, Var
@@ -313,8 +313,8 @@ def term_graph_oracle(term) -> TermGraph:
 
 
 def grow(algebra: Algebra, rel: BinRel, extra) -> BinRel:
-    """_grow's relation, from rel's codes read off its rows."""
-    return _grow(algebra, rel, _codes(rel), extra)[0]
+    """_grow from a twin of rel built without codes, so they are read off its rows."""
+    return _grow(algebra, BinRel(rel.n, rel.rows), extra)
 
 
 def admissible_bfs_oracle(algebra: Algebra):
@@ -431,46 +431,43 @@ def join_arguments(algebra: Algebra, kind: str):
     """(bottom, pairs, join) as the enumeration of kind passes them to _join_closure.
 
     kind is "admissible", "tolerance" or "congruence".  bottom is the
-    diagonal with what join carries for it, and join(rel, codes, pair)
-    returns a (relation, codes) pair: kernel codes, or None for congruences.
+    diagonal, and join(rel, pair) returns the least member holding both.
     """
     n = algebra.n
-    diag, codes = BinRel.diagonal(n), _diagonal_codes(n)
+    diag = BinRel.diagonal(n)
     if kind == "admissible":
         pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
-        return (diag, codes), pairs, lambda r, c, pair: _grow(algebra, r, c, (pair,))
+        return diag, pairs, lambda r, pair: _grow(algebra, r, (pair,))
     if kind == "tolerance":
         pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-        return (diag, codes), pairs, lambda r, c, pair: _grow(algebra, r, c, (pair, pair[::-1]))
+        return diag, pairs, lambda r, pair: _grow(algebra, r, (pair, pair[::-1]))
     cg = {(a, b): _congruence_close(grow(algebra, diag, ((a, b), (b, a))))
           for a in range(n) for b in range(a + 1, n)}
-    return (diag, None), cg, lambda r, _, pair: (_congruence_close(union(r, cg[pair])), None)
+    return diag, cg, lambda r, pair: _congruence_close(union(r, cg[pair]))
 
 
 def join_every_principal_oracle(bottom, pairs, join):
     """_join_closure's sequence, joining every item with every principal.
 
-    Takes _join_closure's arguments.  Yields bottom's relation, then each
+    Takes _join_closure's arguments.  Yields bottom, then each
     distinct principal in pair order, then each new join of an earlier
     item with a principal's first pair whose pair the item lacks, as soon
     as it is found.  Unlike _join_closure, it does not skip the principals
     before the one that first produced an item, so it rebuilds many listed
     members; and it tells relations apart as BinRel values.
     """
-    base, base_codes = bottom
     principals = {}
     for pair in pairs:
-        rel, codes = join(base, base_codes, pair)
-        principals.setdefault(rel, (codes, pair))
-    items = [bottom, *((rel, codes) for rel, (codes, _) in principals.items())]
-    seen = {rel for rel, _ in items}
-    yield from [rel for rel, _ in items]
-    for item, codes in islice(items, 1, None):  # also visits the items added below
+        principals.setdefault(join(bottom, pair), pair)
+    items = [bottom, *principals]
+    seen = set(items)
+    yield from items
+    for item in islice(items, 1, None):  # also visits the items added below
         rows = item.rows
-        for _, pair in principals.values():
+        for pair in principals.values():
             if not rows[pair[0]] >> pair[1] & 1:
-                rel, rel_codes = join(item, codes, pair)
+                rel = join(item, pair)
                 if rel not in seen:
                     seen.add(rel)
-                    items.append((rel, rel_codes))
+                    items.append(rel)
                     yield rel

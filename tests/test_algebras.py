@@ -38,8 +38,6 @@ from tolrep import (
     union,
 )
 from tolrep.algebras import (
-    _codes,
-    _diagonal_codes,
     _grow,
     _kept_positions,
     _reflexive_symmetric,
@@ -241,10 +239,10 @@ class TestKernelOracle:
     def test_grow_returns_rel_when_nothing_is_new(self):
         alg = corpus_get("l7_majority").algebra
         rel = closure(alg, [(0, 1)], "reflexive")
-        codes = _codes(rel)
+        codes = rel._pair_codes()
         for extra in ([(0, 1), (2, 2)], []):
-            grown, grown_codes = _grow(alg, rel, codes, extra)
-            assert grown is rel and grown_codes is codes
+            assert _grow(alg, rel, extra) is rel
+            assert rel._pair_codes() is codes
 
 
 def codes_of(rel):
@@ -271,51 +269,57 @@ class TestTrustedConstruction:
 
 
 class TestCodeHandOff:
-    """_grow takes a relation's codes from its caller and returns the grown relation's."""
+    """A relation keeps its pair codes: the kernel's when it built it, else read off its rows."""
 
     @settings(max_examples=60)
     @given(algebras(max_n=4, max_arity=3), st.data())
     def test_grow_a_b_a(self, alg, data):
-        # a's child is grown from the codes it came with, after b was grown.
+        # a's child is grown from the codes a kept, after b was grown.
         n = alg.n
         pairs = st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3)
         held = {}
         for key in "ab":
             seed = data.draw(pairs)
-            rel = closure(alg, seed, "reflexive")
-            held[key] = rel, _codes(rel), seed
+            held[key] = closure(alg, seed, "reflexive"), seed
         for key in "aba":
-            rel, codes, seed = held[key]
+            rel, seed = held[key]
+            codes = rel._pair_codes()
             extra = data.draw(pairs)
-            grown, grown_codes = _grow(alg, rel, codes, extra)
+            grown = _grow(alg, rel, extra)
             assert grown == closure_oracle(alg, seed + extra, symmetric=False)
-            assert set(codes) == codes_of(rel)
+            assert set(codes) == codes_of(rel) and rel._pair_codes() is codes
             assert is_compatible(alg, grown) and compatible_oracle(alg, grown)
+            grown_codes = grown._codes  # carried from the kernel, not read off the rows
             assert set(grown_codes) == codes_of(grown)
             assert len(grown_codes) == grown.pair_count()
-            held[key] = grown, grown_codes, seed + extra
+            assert grown_codes[:len(codes)] == codes
+            held[key] = grown, seed + extra
             other = data.draw(binrels_on(n))
             assert is_compatible(alg, other) == compatible_oracle(alg, other)
 
     def test_codes_travel_with_each_relation(self):
         alg = corpus_get("n5").algebra
         n = alg.n
-        diag, diag_codes = BinRel.diagonal(n), _diagonal_codes(n)
-        assert diag_codes == bytes(range(0, n * n, n + 1)) == _codes(diag)
-        child, child_codes = _grow(alg, diag, diag_codes, [(1, 2)])
-        grandchild, grandchild_codes = _grow(alg, child, child_codes, [(2, 1)])
-        sibling, sibling_codes = _grow(alg, child, child_codes, [(0, 1)])
+        diag = BinRel.diagonal(n)
+        assert diag._codes == bytes(range(0, n * n, n + 1))
+        child = _grow(alg, diag, [(1, 2)])
+        grandchild = _grow(alg, child, [(2, 1)])
+        sibling = _grow(alg, child, [(0, 1)])
         assert len({diag, child, grandchild, sibling}) == 4
         # The kernel's order: the parent's codes, then the new ones.
-        assert grandchild_codes.startswith(child_codes)
-        assert sibling_codes.startswith(child_codes)
-        for rel, codes in ((diag, diag_codes), (child, child_codes),
-                           (grandchild, grandchild_codes), (sibling, sibling_codes)):
+        assert grandchild._codes.startswith(child._codes)
+        assert sibling._codes.startswith(child._codes)
+        for rel in (diag, child, grandchild, sibling):
+            codes = rel._codes
             assert type(codes) is bytes
+            assert rel._pair_codes() is codes
             assert set(codes) == codes_of(rel)
             assert len(codes) == rel.pair_count()
-        twin = BinRel(n, grandchild.rows)  # equal, but carries no codes: read off its rows
-        assert list(_codes(twin)) == sorted(codes_of(grandchild))
+        twin = BinRel(n, grandchild.rows)  # equal, but built without codes
+        assert twin._codes is None
+        codes = twin._pair_codes()  # read off its rows, row-major, and kept
+        assert list(codes) == sorted(codes_of(grandchild))
+        assert twin._pair_codes() is codes
 
     @pytest.mark.parametrize("strategy", [
         algebras(max_n=4, max_arity=3),
@@ -325,7 +329,7 @@ class TestCodeHandOff:
     @settings(max_examples=40)
     @given(data=st.data())
     def test_grow_from_shuffled_codes(self, strategy, data):
-        # Carried codes come in the kernel's order, not row-major, and as
+        # Kept codes come in the kernel's order, not row-major, and as
         # bytes or a tuple: bytes only while the n * n codes fit in a byte.
         alg = data.draw(strategy)
         n = alg.n
@@ -336,16 +340,33 @@ class TestCodeHandOff:
         shuffled = data.draw(st.permutations(sorted(codes_of(rel))))
         as_bytes = packed is bytes and data.draw(st.booleans())
         codes = bytes(shuffled) if as_bytes else tuple(shuffled)
-        grown, grown_codes = _grow(alg, rel, codes, extra)
+        planted = BinRel._trusted(n, rel.rows, codes)
+        grown = _grow(alg, planted, extra)
         assert grown == grow(alg, rel, extra)
         assert grown == closure_oracle(alg, seed + extra, symmetric=False)
+        grown_codes = grown._pair_codes()
         assert set(grown_codes) == codes_of(grown)
         assert len(grown_codes) == grown.pair_count()
-        if grown is rel:
+        if grown is planted:
             assert grown_codes is codes
         else:
             assert type(grown_codes) is packed
             assert grown_codes[:len(codes)] == packed(codes)
+
+    @settings(max_examples=40)
+    @given(algebras(max_n=4, max_arity=3), st.data())
+    def test_kernel_built_relation_matches_its_row_twin(self, alg, data):
+        seed = data.draw(binrels_on(alg.n)).pairs()
+        mode, _ = data.draw(st.sampled_from(MODES))
+        built = closure(alg, seed, mode)
+        twin = BinRel(built.n, built.rows)
+        assert built._codes is not None and twin._codes is None
+        assert built == twin and hash(built) == hash(twin) and repr(built) == repr(twin)
+        assert len({built, twin}) == 1
+        for rel in (built, twin):
+            loaded = pickle.loads(pickle.dumps(rel))
+            assert loaded == twin and hash(loaded) == hash(twin) and repr(loaded) == repr(twin)
+            assert set(loaded._pair_codes()) == codes_of(twin)
 
 
 class TestCompatibility:
@@ -464,7 +485,7 @@ class TestKernelPlan:
         alg = Algebra(3, (OperationTable("plan_grow", 1, (1, 2, 0)),))
         diag = BinRel.diagonal(3)
         before = _square_tables.cache_info().misses
-        assert grow(alg, diag, [(1, 1), (2, 2)]) is diag  # each its own converse
+        assert _grow(alg, diag, [(1, 1), (2, 2)]) is diag  # each its own converse
         assert _square_tables.cache_info().misses - before == 1
 
     def test_pickled_algebra_recomputes_its_hash(self):
@@ -731,6 +752,20 @@ class TestExpand:
         plus = expand(alg, BinRel.full(2))
         assert plus.op("join") is alg.op("join")
         assert len(plus.ops) > 1
+
+    def test_one_pair_admitted_up_to_fifteen_points(self):
+        theta = BinRel.from_pairs(15, [(0, 1)], reflexive=True, symmetric=True)
+        assert len(expand(Algebra(15), theta).ops) == 15 + 2 ** 15 - 2
+
+    @pytest.mark.parametrize("n, tables", [(16, 65550), (17, 131087)])
+    def test_refused_past_the_plan_bound(self, n, tables):
+        # One pair gives n + 2 ** n - 2 tables of n entries: past
+        # MAX_PLAN_ENTRIES from n = 16, so refused before any is built.
+        theta = BinRel.from_pairs(n, [(0, 1)], reflexive=True, symmetric=True)
+        with pytest.raises(BudgetExceeded, match=f"^expansion on {n} elements needs {tables} "
+                                                 f"unary tables of {n} entries, past the bound "
+                                                 f"of 1048576$"):
+            expand(Algebra(n), theta)
 
     def test_theta_still_tolerance(self):
         entry = corpus_get("five_set")

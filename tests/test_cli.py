@@ -342,6 +342,18 @@ class TestExpandCommand:
         assert len(doc.algebra.ops) == 185
         assert doc.relations["theta"] == corpus_get("five_set").relations["theta"]
 
+    def test_expansion_past_its_bound(self, tmp_path):
+        # One pair on 17 points would adjoin 131 087 unary operations:
+        # refused before any is built, as a budget.
+        path = write(tmp_path, "algebra a\nsize 17\nrel theta\n0 1\n1 0\n")
+        out_path = str(tmp_path / "plus.txt")
+        proc = run_python("-m", "tolrep", "expand", path, "--rel", "theta", "-o", out_path)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == ("error: expansion on 17 elements needs 131087 unary tables of "
+                               "17 entries, past the bound of 1048576\n")
+        assert not os.path.exists(out_path)
+
     def test_unwritable_output(self, tmp_path, capsys):
         path = corpus_file(tmp_path, "five_set")
         out_path = str(tmp_path / "missing" / "plus.txt")

@@ -768,10 +768,10 @@ class TestJoinClosure:
         bottom, pairs, join = join_arguments(corpus_get(name).algebra, "tolerance")
         calls = 0
 
-        def counted(rel, codes, pair):
+        def counted(rel, pair):
             nonlocal calls
             calls += 1
-            return join(rel, codes, pair)
+            return join(rel, pair)
 
         assert sum(1 for _ in _join_closure(bottom, pairs, counted)) == members
         assert calls == joins
