@@ -492,11 +492,16 @@ def is_compatible(algebra: Algebra, rel: BinRel) -> bool:
     rel's own codes go to _saturate as a worklist with nothing closed, so
     each tuple of related argument pairs is built once, a row of images at
     a time, and the test stops at the first code with an image outside rel.
+    An algebra with no operations preserves every relation, so its empty
+    plan answers before any code is read.
     """
     if rel.n != algebra.n:
         raise DimensionError(f"relation lives on {rel.n} elements, algebra on {algebra.n}")
+    plan = _square_tables(algebra)
+    if not any(plan):
+        return True
     codes = rel._pair_codes()
-    return _saturate(_square_tables(algebra), set(codes), codes, 0, stop=True)
+    return _saturate(plan, set(codes), codes, 0, stop=True)
 
 
 class RelationClass(NamedTuple):

@@ -15,7 +15,7 @@ from typing import Iterator, NamedTuple, Optional
 
 from .algebras import Algebra, _grow, _reflexive_symmetric, _require_tolerance, is_compatible
 from .errors import BudgetExceeded
-from .relations import BinRel, _bits, _shape_flags, compose, converse, intersect, subset, union
+from .relations import BinRel, _shape_flags, compose, converse, intersect, subset, union
 
 __all__ = [
     "DEFAULT_NODE_BUDGET",
@@ -123,18 +123,20 @@ def _cover_search(algebra: Algebra, cover: list, allowed: BinRel, spend) -> Opti
     the tree proves no R exists.
 
     allowed must be reflexive and symmetric, as R∘R⁻ is.  spend() is
-    called once per relation built.  Candidates are tried in ascending
-    index order, so the result is canonical.
+    called once per relation built.  Each frame holds its pair's viable
+    candidates as a mask; the loop takes and clears its lowest bit and
+    writes the rest back into the frame before descending, so candidates
+    are tried in ascending index order and the result is canonical.
     """
     n = algebra.n
     full = (1 << n) - 1
     outside = [full ^ row for row in allowed.rows]  # the y with (x, y) not allowed
 
     def frame(rel, forb):
-        """(rel, forb, a, b, candidates) for the fail-first uncovered pair.
+        """[rel, forb, a, b, candidates] for the fail-first uncovered pair.
 
-        None when rel covers every cover pair; a dead state gets a frame
-        with no candidates.
+        candidates is the viable-candidate mask.  None when rel covers
+        every cover pair; a dead state gets a frame with no candidates.
         """
         rows = rel.rows
         best = None
@@ -144,23 +146,24 @@ def _cover_search(algebra: Algebra, cover: list, allowed: BinRel, spend) -> Opti
                 viable = full & ~(forb[a] | forb[b])
                 count = viable.bit_count()
                 if count < least:
-                    best, least = (a, b, viable), count
+                    best, least = [rel, forb, a, b, viable], count
                     if count <= 1:
                         break
-        if best is None:
-            return None
-        a, b, viable = best
-        return rel, forb, a, b, _bits(viable)
+        return best
 
     def checked(old, rows, forb):
         """forb updated from the rows that changed, or None when one meets a row it may not."""
         forb = forb.copy()
-        for y, row in enumerate(rows):
-            if row != old[y]:
-                for x in _bits(outside[y]):
+        for y, (row, was) in enumerate(zip(rows, old)):
+            if row != was:
+                m = outside[y]
+                while m:
+                    low = m & -m
+                    x = low.bit_length() - 1
                     if rows[x] & row:
                         return None
                     forb[x] |= row
+                    m ^= low
         return forb
 
     # Depth-first, with one frame per level: the depth is bounded only by
@@ -171,20 +174,37 @@ def _cover_search(algebra: Algebra, cover: list, allowed: BinRel, spend) -> Opti
         return root
     stack = [top]
     while stack:
-        rel, forb, a, b, rest = stack[-1]
-        for c in rest:
+        top = stack[-1]
+        rel, forb, a, b, rest = top
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            c = low.bit_length() - 1
             spend()
             child = _grow(algebra, rel, ((a, c), (b, c)))
             child_forb = checked(rel.rows, child.rows, forb)
             if child_forb is not None:
-                top = frame(child, child_forb)
-                if top is None:
+                top[4] = rest
+                below = frame(child, child_forb)
+                if below is None:
                     return child
-                stack.append(top)
+                stack.append(below)
                 break
         else:
             stack.pop()
     return None
+
+
+def _upper_pairs(rel: BinRel) -> list[tuple[int, int]]:
+    """rel's pairs (a, b) with a < b, row-major: the bits of each row a above a."""
+    pairs = []
+    for a, row in enumerate(rel.rows):
+        row &= -2 << a
+        while row:
+            low = row & -row
+            pairs.append((a, low.bit_length() - 1))
+            row ^= low
+    return pairs
 
 
 def _certified(algebra: Algebra, theta: BinRel, search):
@@ -228,8 +248,7 @@ def find_representation(
     anything about theta.
     """
     spend = _budget(node_budget, "node")
-    n = theta.n
-    cover = [(a, b) for a in range(n) for b in range(a + 1, n) if theta.rows[a] >> b & 1]
+    cover = _upper_pairs(theta)
     found = _certified(algebra, theta, lambda: _cover_search(algebra, cover, theta, spend))
     return RepWitness(found) if found is not None else None
 
@@ -359,10 +378,13 @@ def find_weak_representation(
     admissible R with theta inside R∘R⁻ and (a, b) outside it.  R∘R⁻ is
     symmetric, so one covering search per unordered pair {a, b} finds it,
     with theta as the cover and every pair but (a, b) and (b, a) allowed;
-    its R is stored under both orders.  theta is weakly representable
-    exactly when every search succeeds.  One rel_budget is shared by all
-    the searches and counts every relation they build; exceeding it raises
-    BudgetExceeded.
+    its R is stored under both orders.  A separator already found serves
+    {a, b} without a search when its rows a and b do not meet, as then
+    (a, b) is outside its R∘R⁻, which holds theta (see _separators).
+    theta is weakly representable exactly when every pair gets a
+    separator: a search fails only when no admissible R separates its
+    pair.  One rel_budget is shared by all the searches and counts every
+    relation they build; exceeding it raises BudgetExceeded.
 
     A family proves theta is a tolerance, so the full check runs only when
     none is found (see _certified): each separator R is a _grow closure of
@@ -378,21 +400,34 @@ def find_weak_representation(
 
 
 def _separators(algebra: Algebra, theta: BinRel, spend) -> Optional[WeakRepWitness]:
-    """find_weak_representation's search, on a reflexive symmetric theta."""
+    """find_weak_representation's search, on a reflexive symmetric theta.
+
+    Before searching for an excluded pair {a, b}, the separators already
+    found are tried in the order found, and the first whose rows a and b
+    do not meet serves {a, b} too: its R has theta inside R∘R⁻, and
+    (a, b) is in R∘R⁻ exactly when rows a and b of R meet.  Only when none
+    serves does a search run, and its R joins the list.
+    """
     n = algebra.n
     full = (1 << n) - 1
     excluded = [(a, b) for a in range(n) for b in range(n)
                 if a != b and not theta.rows[a] >> b & 1]
-    cover = [(a, b) for a in range(n) for b in range(a + 1, n) if theta.rows[a] >> b & 1]
+    cover = _upper_pairs(theta)
     found = {}
+    built = []
     for a, b in excluded:
         if a < b:
-            rows = [full] * n
-            rows[a] ^= 1 << b
-            rows[b] ^= 1 << a
-            sep = _cover_search(algebra, cover, BinRel(n, rows), spend)
-            if sep is None:
-                return None
+            for sep in built:
+                if not sep.rows[a] & sep.rows[b]:
+                    break
+            else:
+                rows = [full] * n
+                rows[a] ^= 1 << b
+                rows[b] ^= 1 << a
+                sep = _cover_search(algebra, cover, BinRel(n, rows), spend)
+                if sep is None:
+                    return None
+                built.append(sep)
             found[(a, b)] = sep
     return WeakRepWitness({(a, b): found[min(a, b), max(a, b)] for a, b in excluded})
 

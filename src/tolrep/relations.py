@@ -9,7 +9,7 @@ bit twiddling is both the fastest and the simplest representation.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DimensionError
 
@@ -23,14 +23,6 @@ __all__ = [
     "union",
     "subset",
 ]
-
-
-def _bits(mask: int) -> Iterator[int]:
-    """Indices of the set bits of mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _packed(n: int, codes: Iterable[int]) -> Sequence[int]:
@@ -60,7 +52,7 @@ class BinRel:
 
     The closure kernel's pair codes a * n + b are kept in a private slot:
     passed to _trusted, else read off the rows by _pair_codes.  Equality,
-    hashing and repr see only n and rows.
+    hashing, repr and pickling see only n and rows.
     """
 
     __slots__ = ("n", "rows", "_codes")
@@ -122,7 +114,13 @@ class BinRel:
 
     def pairs(self) -> list[tuple[int, int]]:
         """All ordered pairs, sorted row-major."""
-        return [(a, b) for a in range(self.n) for b in _bits(self.rows[a])]
+        pairs = []
+        for a, row in enumerate(self.rows):
+            while row:
+                low = row & -row
+                pairs.append((a, low.bit_length() - 1))
+                row ^= low
+        return pairs
 
     def pair_count(self) -> int:
         return sum(row.bit_count() for row in self.rows)
@@ -158,6 +156,11 @@ class BinRel:
     def __le__(self, other):
         return subset(self, other)
 
+    def __reduce__(self):
+        # Rebuild through the checked constructor: a pickle holds n and the
+        # rows alone, so equal relations pickle alike, whatever codes they keep.
+        return BinRel, (self.n, self.rows)
+
     def __repr__(self):
         return f"BinRel({self.n}, pairs={self.pairs()!r})"
 
@@ -174,8 +177,10 @@ def compose(r: BinRel, s: BinRel) -> BinRel:
     out = []
     for row in r.rows:
         acc = 0
-        for c in _bits(row):
-            acc |= srows[c]
+        while row:
+            low = row & -row
+            acc |= srows[low.bit_length() - 1]
+            row ^= low
         out.append(acc)
     return BinRel._trusted(r.n, tuple(out))
 
@@ -184,8 +189,11 @@ def converse(r: BinRel) -> BinRel:
     """Transpose: (a, b) swapped to (b, a)."""
     out = [0] * r.n
     for a, row in enumerate(r.rows):
-        for b in _bits(row):
-            out[b] |= 1 << a
+        bit = 1 << a
+        while row:
+            low = row & -row
+            out[low.bit_length() - 1] |= bit
+            row ^= low
     return BinRel._trusted(r.n, tuple(out))
 
 

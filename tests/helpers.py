@@ -15,7 +15,6 @@ from tolrep import (
 )
 from tolrep.algebras import _grow, eval_op
 from tolrep.decide import WeakRepWitness, _congruence_close
-from tolrep.relations import _bits
 from tolrep.terms import Compose, Intersect, TermGraph, Var
 
 
@@ -231,7 +230,8 @@ def shape_flags_oracle(rel: BinRel) -> tuple[bool, bool]:
     """
     rows = rel.rows
     reflexive = all(row >> a & 1 for a, row in enumerate(rows))
-    symmetric = all(rows[b] >> a & 1 for a, row in enumerate(rows) for b in _bits(row))
+    symmetric = all(rows[b] >> a & 1 for a, row in enumerate(rows)
+                    for b in range(rel.n) if row >> b & 1)
     return reflexive, symmetric
 
 

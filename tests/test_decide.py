@@ -414,6 +414,7 @@ class TestWeakRepresentation:
         witness = find_weak_representation(entry.algebra, theta)
         assert witness is not None
         assert verify_weak_representation(entry.algebra, theta, witness)
+        assert_first_fit_reuse(witness)
 
     def test_expansions_agree_with_enumeration_oracle(self):
         answers = set()
@@ -438,8 +439,17 @@ class TestWeakRepresentation:
         assert weak_representation_oracle(alg, theta) is not None
         assert not subset(witness.separators[(3, 4)], theta)
 
+    def test_five_set_reuses_separators(self):
+        # 8 keys are 4 unordered pairs, and a search runs only for a pair
+        # that no separator found so far keeps apart
+        entry = corpus_get("five_set")
+        witness = find_weak_representation(entry.algebra, entry.relations["theta"])
+        assert len(witness.separators) == 8
+        assert len(set(witness.separators.values())) < 4
+        assert_first_fit_reuse(witness)
+
     def test_budget(self):
-        # s7_semilattice needs 51 relations across its separator searches
+        # s7_semilattice needs 26 relations across its separator searches
         entry = corpus_get("s7_semilattice")
         with pytest.raises(BudgetExceeded):
             find_weak_representation(entry.algebra, entry.relations["theta"], rel_budget=5)
@@ -459,6 +469,23 @@ class TestWeakRepresentation:
         if fast is not None:
             assert verify_weak_representation(alg, theta, fast)
             assert verify_weak_representation(alg, theta, slow)
+            assert_first_fit_reuse(fast)
+
+
+def assert_first_fit_reuse(witness):
+    """Row-major over the keys a < b, each is served by the first separator
+    used so far whose rows a and b do not meet, and by a new one only when
+    there is none; both orders of a pair share its separator."""
+    used = []
+    for a, b in sorted(key for key in witness.separators if key[0] < key[1]):
+        sep = witness.separators[a, b]
+        assert witness.separators[b, a] == sep
+        assert not sep.rows[a] & sep.rows[b]
+        apart = [old for old in used if not old.rows[a] & old.rows[b]]
+        if apart:
+            assert sep == apart[0]
+        else:
+            used.append(sep)
 
 
 def tolerance_of(pairs):
@@ -489,15 +516,15 @@ class TestRelationsBuilt:
         ("l7_majority", find_representation, "node", 12, False),
         ("expand_five", find_representation, "node", 2, False),
         ("theta_ab(5,1,3)", find_representation, "node", 5, True),
-        ("five_set", find_weak_representation, "relation", 19, True),
-        ("s7_semilattice", find_weak_representation, "relation", 51, True),
-        ("l7_majority", find_weak_representation, "relation", 51, True),
+        ("five_set", find_weak_representation, "relation", 15, True),
+        ("s7_semilattice", find_weak_representation, "relation", 26, True),
+        ("l7_majority", find_weak_representation, "relation", 26, True),
         ("expand_five", find_weak_representation, "relation", 4, False),
         ("theta_ab(5,1,3)", find_weak_representation, "relation", 5, True),
         ("s7_semilattice:hard_no", find_representation, "node", 95, False),
         ("l7_majority:hard_no", find_representation, "node", 95, False),
-        ("s7_semilattice:hard_no", find_weak_representation, "relation", 37, True),
-        ("l7_majority:hard_no", find_weak_representation, "relation", 37, True),
+        ("s7_semilattice:hard_no", find_weak_representation, "relation", 32, True),
+        ("l7_majority:hard_no", find_weak_representation, "relation", 32, True),
         ("s7_semilattice:index_ties", find_representation, "node", 35, False),
         ("l7_majority:index_ties", find_representation, "node", 35, False),
     ])

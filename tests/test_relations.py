@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,7 +16,9 @@ from tolrep import (
     Algebra,
     BinRel,
     DimensionError,
+    OperationTable,
     classify_shape,
+    closure,
     compose,
     converse,
     intersect,
@@ -228,3 +232,25 @@ class TestHashing:
     def test_usable_in_sets(self):
         rels = {BinRel.diagonal(2), BinRel.diagonal(2), BinRel.full(2)}
         assert len(rels) == 2
+
+
+# x -> x + 1 mod 3: the kernel closes (0, 1) to the cycle 0 -> 1 -> 2 -> 0
+SHIFT = Algebra(3, (OperationTable("f", 1, (1, 2, 0)),))
+PROTOCOLS = range(pickle.HIGHEST_PROTOCOL + 1)
+
+
+class TestPickling:
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_round_trips_at_every_protocol(self, protocol):
+        built = closure(SHIFT, [(0, 1)], "reflexive")
+        for rel in (built, BinRel(3, built.rows), BinRel.diagonal(3), BinRel.empty(1)):
+            loaded = pickle.loads(pickle.dumps(rel, protocol))
+            assert loaded == rel and hash(loaded) == hash(rel) and repr(loaded) == repr(rel)
+            assert sorted(loaded._pair_codes()) == sorted(rel._pair_codes())
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_kernel_built_relation_pickles_like_its_twin(self, protocol):
+        built = closure(SHIFT, [(0, 1)], "reflexive")
+        twin = BinRel(3, built.rows)
+        assert built._codes is not None and twin._codes is None
+        assert pickle.dumps(built, protocol) == pickle.dumps(twin, protocol)
