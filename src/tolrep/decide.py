@@ -88,41 +88,43 @@ def _budget(limit: int, what: str):
     return spend
 
 
-def _cover_search(algebra: Algebra, cover: list, allowed: BinRel, spend) -> Optional[BinRel]:
-    """A reflexive compatible R with cover inside R∘R⁻ and R∘R⁻ inside allowed.
+def _cover_search(algebra: Algebra, cover: list, outside: list, spend) -> Optional[BinRel]:
+    """A reflexive compatible R whose rows meet for every cover pair and no forbidden pair.
 
     cover lists a symmetric relation's pairs (a, b) with a < b, row-major,
     so a caller that runs many searches on one cover lists it once.
+    outside[x] is the mask of the y with (x, y) forbidden; the forbidden
+    set must be irreflexive and symmetric, as the complement of R∘R⁻ is.
     (a, b) is in R∘R⁻ exactly when rows a and b of R meet; that is the one
-    R∘R⁻ test here.  The root is the diagonal, which every operation
-    preserves, and each state is kept compatibility-closed.  A cover pair
-    is uncovered while its rows are apart; a branch adds (a, c) and (b, c)
-    for one candidate c and grows the closure.
+    R∘R⁻ test here, so R∘R⁻ holds every cover pair and no forbidden one.
+    The root is the diagonal, which every operation preserves, and each
+    state is kept compatibility-closed.  A cover pair is uncovered while
+    its rows are apart; a branch adds (a, c) and (b, c) for one candidate
+    c and grows the closure.
 
     Each state carries forb: forb[x] is the union of the rows R[y] over the
-    y with (x, y) outside allowed, so at the root forb[x] is the set of
-    those y.  A child copies its parent's forb and updates it only from
-    the rows it changed: for each changed row y and each such x, rows x
-    and y must not meet, else the child is rejected, and row y is ORed
-    into forb[x].  A kept child thus has R∘R⁻ inside allowed, given that
-    its parent has (the root does, as allowed is reflexive), and so does
-    R itself, since S ⊆ S∘S⁻ for a reflexive S.
+    y in outside[x], so the root's forb is outside itself.  A child copies
+    its parent's forb and updates it only from the rows it changed: for
+    each changed row y and each x in outside[y], rows x and y must not
+    meet, else the child is rejected, and row y is ORed into forb[x].  A
+    kept child thus has no forbidden pair in R∘R⁻, given that its parent
+    has none (the root has none, as the forbidden set is irreflexive), and
+    so has no forbidden pair in R itself, since S ⊆ S∘S⁻ for a reflexive S.
 
     The viable candidates of an uncovered (a, b) are the points outside
-    forb[a] | forb[b].  They lie in allowed[a] & allowed[b], since forb
-    only grows from the root's, which holds every y outside allowed[x].
-    This is sound: any solution S ⊇ R covers (a, b) through some c with
-    (a, c) and (b, c) in S; if c were in forb[a], then c ∈ R[y] ⊆ S[y]
-    for a y with (a, y) outside allowed, so rows a and y of S would meet
-    (likewise for b).  A state with an uncovered pair that has no viable
-    candidate is dead: it has no child.
+    forb[a] | forb[b].  They avoid outside[a] | outside[b], since forb
+    only grows from the root's.  This is sound: any solution S ⊇ R covers
+    (a, b) through some c with (a, c) and (b, c) in S; if c were in
+    forb[a], then c ∈ R[y] ⊆ S[y] for a y in outside[a], so rows a and y
+    of S would meet (likewise for b).  A state with an uncovered pair that
+    has no viable candidate is dead: it has no child.
     Otherwise the search branches fail-first, on the uncovered pair with
     the fewest viable candidates; ties go by index, to the least a and then
     the least b, and the scan stops at a pair with one viable candidate.
     Any solution above a state contains one of its children, so exhausting
     the tree proves no R exists.
 
-    allowed must be reflexive and symmetric, as R∘R⁻ is.  spend() is
+    A cover pair may also be forbidden; then no R exists.  spend() is
     called once per relation built.  Each frame holds its pair's viable
     candidates as a mask; the loop takes and clears its lowest bit and
     writes the rest back into the frame before descending, so candidates
@@ -130,7 +132,6 @@ def _cover_search(algebra: Algebra, cover: list, allowed: BinRel, spend) -> Opti
     """
     n = algebra.n
     full = (1 << n) - 1
-    outside = [full ^ row for row in allowed.rows]  # the y with (x, y) not allowed
 
     def frame(rel, forb):
         """[rel, forb, a, b, candidates] for the fail-first uncovered pair.
@@ -195,10 +196,10 @@ def _cover_search(algebra: Algebra, cover: list, allowed: BinRel, spend) -> Opti
     return None
 
 
-def _upper_pairs(rel: BinRel) -> list[tuple[int, int]]:
-    """rel's pairs (a, b) with a < b, row-major: the bits of each row a above a."""
+def _upper_pairs(rows) -> list[tuple[int, int]]:
+    """The pairs (a, b), a < b, set in rows, row-major: the bits of each row a above a."""
     pairs = []
-    for a, row in enumerate(rel.rows):
+    for a, row in enumerate(rows):
         row &= -2 << a
         while row:
             low = row & -row
@@ -234,11 +235,12 @@ def find_representation(
 ) -> Optional[RepWitness]:
     """Search for a reflexive compatible R with R∘R⁻ equal to theta.
 
-    This is the covering search with theta as both the cover and the
-    allowed relation: every theta pair must land in R∘R⁻ and nothing else
-    may.  Any such R sits inside theta, since reflexivity puts R inside
-    R∘R⁻.  Exceeding node_budget (relations built) raises BudgetExceeded
-    rather than guessing.  The returned witness is canonical.
+    This is the covering search with theta as the cover and everything
+    outside theta forbidden: every theta pair must land in R∘R⁻ and
+    nothing else may.  Any such R sits inside theta, since reflexivity
+    puts R inside R∘R⁻.  Exceeding node_budget (relations built) raises
+    BudgetExceeded rather than guessing.  The returned witness is
+    canonical.
 
     A witness proves theta is a tolerance, so the full check runs only
     when none is found (see _certified): every R the search returns is a
@@ -248,8 +250,10 @@ def find_representation(
     anything about theta.
     """
     spend = _budget(node_budget, "node")
-    cover = _upper_pairs(theta)
-    found = _certified(algebra, theta, lambda: _cover_search(algebra, cover, theta, spend))
+    cover = _upper_pairs(theta.rows)
+    full = (1 << theta.n) - 1
+    outside = [full ^ row for row in theta.rows]
+    found = _certified(algebra, theta, lambda: _cover_search(algebra, cover, outside, spend))
     return RepWitness(found) if found is not None else None
 
 
@@ -377,10 +381,10 @@ def find_weak_representation(
     by excluded pairs suffices: for each ordered (a, b) outside theta, one
     admissible R with theta inside R∘R⁻ and (a, b) outside it.  R∘R⁻ is
     symmetric, so one covering search per unordered pair {a, b} finds it,
-    with theta as the cover and every pair but (a, b) and (b, a) allowed;
-    its R is stored under both orders.  A separator already found serves
-    {a, b} without a search when its rows a and b do not meet, as then
-    (a, b) is outside its R∘R⁻, which holds theta (see _separators).
+    with theta as the cover and only (a, b) and (b, a) forbidden; its R is
+    stored under both orders.  A separator already found serves {a, b}
+    without a search when its rows a and b do not meet, as then (a, b) is
+    outside its R∘R⁻, which holds theta (see _separators).
     theta is weakly representable exactly when every pair gets a
     separator: a search fails only when no admissible R separates its
     pair.  One rel_budget is shared by all the searches and counts every
@@ -402,34 +406,33 @@ def find_weak_representation(
 def _separators(algebra: Algebra, theta: BinRel, spend) -> Optional[WeakRepWitness]:
     """find_weak_representation's search, on a reflexive symmetric theta.
 
-    Before searching for an excluded pair {a, b}, the separators already
-    found are tried in the order found, and the first whose rows a and b
-    do not meet serves {a, b} too: its R has theta inside R∘R⁻, and
-    (a, b) is in R∘R⁻ exactly when rows a and b of R meet.  Only when none
-    serves does a search run, and its R joins the list.
+    The excluded pairs {a, b}, a < b, are listed row-major from theta's
+    complement rows, and each gets a separator in that order.  Before
+    searching for {a, b}, the separators already found are tried in the
+    order found, and the first whose rows a and b do not meet serves
+    {a, b} too: its R has theta inside R∘R⁻, and (a, b) is in R∘R⁻
+    exactly when rows a and b of R meet.  Only when none serves does a
+    search run, forbidding (a, b) and (b, a) alone, and its R joins the
+    list.  The family's keys are the ordered pairs, row-major.
     """
     n = algebra.n
     full = (1 << n) - 1
-    excluded = [(a, b) for a in range(n) for b in range(n)
-                if a != b and not theta.rows[a] >> b & 1]
-    cover = _upper_pairs(theta)
-    found = {}
+    cover = _upper_pairs(theta.rows)
+    family = {}
     built = []
-    for a, b in excluded:
-        if a < b:
-            for sep in built:
-                if not sep.rows[a] & sep.rows[b]:
-                    break
-            else:
-                rows = [full] * n
-                rows[a] ^= 1 << b
-                rows[b] ^= 1 << a
-                sep = _cover_search(algebra, cover, BinRel(n, rows), spend)
-                if sep is None:
-                    return None
-                built.append(sep)
-            found[(a, b)] = sep
-    return WeakRepWitness({(a, b): found[min(a, b), max(a, b)] for a, b in excluded})
+    for a, b in _upper_pairs([full ^ row for row in theta.rows]):
+        for sep in built:
+            if not sep.rows[a] & sep.rows[b]:
+                break
+        else:
+            outside = [0] * n
+            outside[a], outside[b] = 1 << b, 1 << a
+            sep = _cover_search(algebra, cover, outside, spend)
+            if sep is None:
+                return None
+            built.append(sep)
+        family[a, b] = family[b, a] = sep
+    return WeakRepWitness(dict(sorted(family.items())))
 
 
 def verify_weak_representation(algebra: Algebra, theta: BinRel, witness: WeakRepWitness) -> bool:

@@ -326,10 +326,9 @@ class TestWeakRepresentCommand:
         run(["weak-represent", path, "--rel", "theta", "--json"])
         payload = json.loads(capsys.readouterr().out)
         assert payload["weakly_representable"] is True
-        assert len(payload["separators"]) == 8
-        assert {tuple(s["pair"]) for s in payload["separators"]} == {
-            (0, 4), (4, 0), (1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2)
-        }
+        assert [tuple(s["pair"]) for s in payload["separators"]] == [
+            (0, 4), (1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2), (4, 0)
+        ]
 
 
 class TestExpandCommand:

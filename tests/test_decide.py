@@ -1,5 +1,6 @@
 import textwrap
-from itertools import combinations, islice
+from functools import cache
+from itertools import combinations, islice, product
 
 import pytest
 from hypothesis import given, settings
@@ -51,7 +52,9 @@ from tolrep import (
     verify_representation,
     verify_weak_representation,
 )
-from tolrep.decide import _congruence_close, _join_closure, _lattice, iter_admissible
+from tolrep.decide import (
+    _congruence_close, _cover_search, _join_closure, _lattice, iter_admissible,
+)
 
 
 def all_reflexive_symmetric(n):
@@ -160,6 +163,48 @@ class TestFindRepresentation:
             small = BinRel.from_pairs(5, pairs[:k], reflexive=True)
             big = BinRel.from_pairs(5, pairs, reflexive=True)
             assert subset(compose(small, converse(small)), compose(big, converse(big)))
+
+
+@cache
+def reflexive_rows(n):
+    """The rows of every reflexive relation on n points."""
+    return list(product(*[[row for row in range(1 << n) if row >> a & 1] for a in range(n)]))
+
+
+class TestCoverSearch:
+    # The search on its own, with any cover and any forbidden set, the two
+    # of which may overlap; representation and the weak search pass only
+    # theta's complement or a single excluded pair.
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_agrees_with_brute_force(self, data):
+        # two draws in three take an algebra with operations, n <= 3, whose
+        # 64 or fewer reflexive relations the oracle tries; the third takes
+        # an operation-free n = 4, with 4 096
+        if data.draw(st.integers(0, 2)):
+            alg = data.draw(algebras(max_n=3, max_arity=3))
+        else:
+            alg = Algebra(4)
+        n = alg.n
+        point = st.integers(0, n - 1)
+        cover = sorted({(min(p), max(p)) for p in data.draw(st.lists(st.tuples(point, point)))
+                        if p[0] != p[1]})
+        forbidden = {(a, b) for p in data.draw(st.lists(st.tuples(point, point), max_size=4))
+                     for a, b in (p, p[::-1]) if a != b}
+        outside = [sum(1 << y for y in range(n) if (x, y) in forbidden) for x in range(n)]
+
+        def fits(rows):
+            return (all(rows[a] & rows[b] for a, b in cover)
+                    and not any(rows[a] & rows[b] for a, b in forbidden))
+
+        exists = any(fits(rows) and compatible_oracle(alg, BinRel(n, rows))
+                     for rows in reflexive_rows(n))
+        found = _cover_search(alg, cover, outside, lambda: None)
+        assert (found is not None) == exists
+        if found is not None:
+            assert all(row >> a & 1 for a, row in enumerate(found.rows))
+            assert compatible_oracle(alg, found)
+            assert fits(found.rows)
 
 
 class TestExhaustiveOracle:
@@ -470,6 +515,8 @@ class TestWeakRepresentation:
             assert verify_weak_representation(alg, theta, fast)
             assert verify_weak_representation(alg, theta, slow)
             assert_first_fit_reuse(fast)
+            # the keys come row-major, as weak-represent prints them
+            assert list(fast.separators) == sorted(fast.separators)
 
 
 def assert_first_fit_reuse(witness):
