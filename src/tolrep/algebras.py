@@ -38,9 +38,10 @@ codes fit in a byte, and the rows of an operation of arity 3 or more are
 picked, tested and gathered in C, with no Python bytecode run per row.
 A relation keeps its own codes (BinRel._pair_codes): _grow reads rel's
 and builds the grown relation with its worklist, so a relation the kernel
-built never has its codes read back off its rows.  is_compatible runs the
-same kernel over a relation's codes, with nothing closed yet, and stops
-at the first code with an image outside them.
+built has its codes read back off its rows only after the join enumerator
+has listed it and dropped them (see decide._join_closure).  is_compatible
+runs the same kernel over a relation's codes, with nothing closed yet, and
+stops at the first code with an image outside them.
 """
 
 from __future__ import annotations

@@ -51,7 +51,9 @@ class BinRel:
     kernel closures), which cannot leave it.
 
     The closure kernel's pair codes a * n + b are kept in a private slot:
-    passed to _trusted, else read off the rows by _pair_codes.  Equality,
+    passed to _trusted, else read off the rows by _pair_codes.  The join
+    enumerator (decide._join_closure) empties the slot of each relation it
+    lists once it has joined it, so a complete listing holds no codes.  Equality,
     hashing, repr and pickling see only n and rows.
     """
 

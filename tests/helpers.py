@@ -320,27 +320,30 @@ def grow(algebra: Algebra, rel: BinRel, extra) -> BinRel:
 def admissible_bfs_oracle(algebra: Algebra):
     """All reflexive compatible relations, breadth-first from the diagonal.
 
-    Pops each relation from a queue and re-closes it plus each absent
-    off-diagonal pair in row-major order, queueing every closure not seen
-    before.  Every admissible relation is reached because any target stays
-    a superset along the way.  Independent of the join-closure enumerator;
+    Orders the off-diagonal pairs by decreasing size of their principal
+    relations, the closures of the diagonal plus the pair, with ties
+    row-major.  Pops each relation from a queue and re-closes it plus each
+    absent pair in that order, queueing every closure not seen before.
+    Every admissible relation is reached because any target stays a
+    superset along the way.  Independent of the join-closure enumerator;
     n² closures per relation, so only usable on small algebras.
     """
     start = closure(algebra, (), "reflexive")
+    n = algebra.n
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    size = {pair: grow(algebra, start, (pair,)).pair_count() for pair in pairs}
+    pairs.sort(key=lambda pair: -size[pair])
     seen = {start}
     queue = deque([start])
-    n = algebra.n
     while queue:
         rel = queue.popleft()
         yield rel
-        for a in range(n):
-            row = rel.rows[a]
-            for b in range(n):
-                if a != b and not row >> b & 1:
-                    nxt = grow(algebra, rel, ((a, b),))
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        queue.append(nxt)
+        for a, b in pairs:
+            if not rel.rows[a] >> b & 1:
+                nxt = grow(algebra, rel, ((a, b),))
+                if nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
 
 
 def weak_representation_oracle(algebra: Algebra, theta: BinRel):
@@ -449,22 +452,25 @@ def join_arguments(algebra: Algebra, kind: str):
 def join_every_principal_oracle(bottom, pairs, join):
     """_join_closure's sequence, joining every item with every principal.
 
-    Takes _join_closure's arguments.  Yields bottom, then each
-    distinct principal in pair order, then each new join of an earlier
-    item with a principal's first pair whose pair the item lacks, as soon
-    as it is found.  Unlike _join_closure, it does not skip the principals
+    Takes _join_closure's arguments.  Yields bottom, then each distinct
+    principal by decreasing pair count, ties in the order of their first
+    pairs, then each new join of an earlier item with a principal's first
+    pair whose pair the item lacks, in that principal order, as soon as it
+    is found.  Unlike _join_closure, it does not skip the principals
     before the one that first produced an item, so it rebuilds many listed
     members; and it tells relations apart as BinRel values.
     """
     principals = {}
     for pair in pairs:
         principals.setdefault(join(bottom, pair), pair)
-    items = [bottom, *principals]
+    ordered = sorted(principals, key=lambda rel: -rel.pair_count())
+    firsts = [principals[rel] for rel in ordered]
+    items = [bottom, *ordered]
     seen = set(items)
     yield from items
     for item in islice(items, 1, None):  # also visits the items added below
         rows = item.rows
-        for pair in principals.values():
+        for pair in firsts:
             if not rows[pair[0]] >> pair[1] & 1:
                 rel = join(item, pair)
                 if rel not in seen:

@@ -11,6 +11,7 @@ from helpers import (
     algebra_with_rel,
     algebras,
     binrels_on,
+    closure_oracle,
     compatible_oracle,
     congruence_close_oracle,
     expanded_algebras,
@@ -833,13 +834,48 @@ class TestJoinClosure:
         assert (_lattice(_join_closure(bottom, pairs, join), count, kind)
                 == _lattice(iter(expected), count, kind))
 
-    @pytest.mark.parametrize("name, members, joins", [
-        ("five_set", 1024, 1023),
-        ("s7_semilattice", 40069, 40068),
+    @settings(max_examples=60)
+    @given(algebras(max_n=4, max_arity=3),
+           st.sampled_from(["admissible", "tolerance", "congruence"]))
+    def test_principals_come_largest_first(self, alg, kind):
+        # the principals by their definition, with no kernel closure
+        n, symmetric = alg.n, kind != "admissible"
+        row_major = [(a, b) for a in range(n) for b in range(n) if a < b or (a > b and not symmetric)]
+        principal = [closure_oracle(alg, [pair], symmetric) for pair in row_major]
+        if kind == "congruence":
+            principal = [congruence_close_oracle(alg, rel) for rel in principal]
+        first = {}  # each distinct principal -> the index of its first pair
+        for i, rel in enumerate(principal):
+            first.setdefault(rel, i)
+        bottom, pairs, join = join_arguments(alg, kind)
+        got = list(islice(_join_closure(bottom, pairs, join), 1, len(first) + 1))
+        assert set(got) == set(first)
+        keys = [(-rel.pair_count(), first[rel]) for rel in got]
+        assert keys == sorted(keys)
+
+    @settings(max_examples=40)
+    @given(algebras(max_n=4, max_arity=3) | symmetric_algebras(max_n=3))
+    def test_listed_relations_drop_their_codes(self, alg):
+        # a listed relation keeps no kernel codes, yet still reads them off its rows
+        diag = BinRel.diagonal(alg.n)
+        admissible = enumerate_admissible(alg, limit=10**5)
+        assert not admissible.truncated
+        for rel in (*admissible.relations, *enumerate_tolerances(alg),
+                    *enumerate_congruences(alg)):
+            if rel != diag:
+                assert rel._codes is None
+                assert list(rel._pair_codes()) == [a * alg.n + b for a, b in rel.pairs()]
+
+    @pytest.mark.parametrize("name, kind, members, joins", [
+        ("five_set", "tolerance", 1024, 1023),
+        ("s7_semilattice", "tolerance", 40069, 40068),
+        ("chain(6)", "tolerance", 132, 131),
+        ("chain(6)", "admissible", 17424, 17423),
     ])
-    def test_every_tolerance_join_lists_a_new_member(self, name, members, joins):
-        # joining every item with every principal takes 5 120 and 330 120 joins
-        bottom, pairs, join = join_arguments(corpus_get(name).algebra, "tolerance")
+    def test_every_join_lists_a_new_member(self, name, kind, members, joins):
+        # joining every item with every principal takes 5 120 and 330 120
+        # joins for the first two tolerance listings
+        bottom, pairs, join = join_arguments(corpus_get(name).algebra, kind)
         calls = 0
 
         def counted(rel, pair):
