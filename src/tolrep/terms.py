@@ -18,6 +18,7 @@ same label.
 
 from __future__ import annotations
 
+import re
 from typing import NamedTuple, Union
 
 from .errors import DimensionError, TermSyntaxError
@@ -41,15 +42,11 @@ __all__ = [
 
 # The nodes are named tuples that compare and hash by node type as well as
 # by fields, so Compose(x, y) != Intersect(x, y) and Var("x") != ("x",).
+# object.__ne__ inverts __eq__; the inherited tuple.__ne__ would ignore the type.
 def _node_eq(self, other):
     if not isinstance(other, tuple):
         return NotImplemented
     return self.__class__ is other.__class__ and tuple.__eq__(self, other)
-
-
-def _node_ne(self, other):
-    eq = _node_eq(self, other)
-    return eq if eq is NotImplemented else not eq
 
 
 def _node_hash(self):
@@ -58,19 +55,19 @@ def _node_hash(self):
 
 class Var(NamedTuple):
     name: str
-    __eq__, __ne__, __hash__ = _node_eq, _node_ne, _node_hash
+    __eq__, __ne__, __hash__ = _node_eq, object.__ne__, _node_hash
 
 
 class Compose(NamedTuple):
     left: "RelTerm"
     right: "RelTerm"
-    __eq__, __ne__, __hash__ = _node_eq, _node_ne, _node_hash
+    __eq__, __ne__, __hash__ = _node_eq, object.__ne__, _node_hash
 
 
 class Intersect(NamedTuple):
     left: "RelTerm"
     right: "RelTerm"
-    __eq__, __ne__, __hash__ = _node_eq, _node_ne, _node_hash
+    __eq__, __ne__, __hash__ = _node_eq, object.__ne__, _node_hash
 
 
 RelTerm = Union[Var, Compose, Intersect]
@@ -78,38 +75,22 @@ RelTerm = Union[Var, Compose, Intersect]
 # Deepest operator nesting parse_term accepts.
 MAX_TERM_DEPTH = 200
 
-_NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_NAME_CONT = _NAME_START | set("0123456789")
+# A name is an ASCII identifier; any other non-space character is one token.
+_TOKEN = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)|\S")
+_SYMBOLS = {"(": "lparen", ")": "rparen", "&": "intersect", "∩": "intersect", "∘": "compose"}
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "(":
-            tokens.append(("lparen", ch, i))
-            i += 1
-        elif ch == ")":
-            tokens.append(("rparen", ch, i))
-            i += 1
-        elif ch in ("&", "∩"):
-            tokens.append(("intersect", ch, i))
-            i += 1
-        elif ch == "∘":
-            tokens.append(("compose", ch, i))
-            i += 1
-        elif ch in _NAME_START:
-            start = i
-            while i < len(text) and text[i] in _NAME_CONT:
-                i += 1
-            word = text[start:i]
-            tokens.append(("compose" if word == "o" else "name", word, start))
+    for match in _TOKEN.finditer(text):
+        word, at = match[0], match.start()
+        if match[1]:
+            kind = "compose" if word == "o" else "name"
+        elif word in _SYMBOLS:
+            kind = _SYMBOLS[word]
         else:
-            raise TermSyntaxError(i, f"unexpected character {ch!r}")
+            raise TermSyntaxError(at, f"unexpected character {word!r}")
+        tokens.append((kind, word, at))
     tokens.append(("end", "", len(text)))
     return tokens
 
@@ -237,13 +218,13 @@ def term_graph(term: RelTerm) -> TermGraph:
 
 def is_regular(term: RelTerm) -> bool:
     """No vertex of the term graph meets two distinct same-label edges."""
-    graph = term_graph(term)
-    incident: dict[int, list[str]] = {v: [] for v in range(graph.vertex_count)}
-    for u, v, label in graph.edges:
-        incident[u].append(label)
-        if v != u:
-            incident[v].append(label)
-    return all(len(labels) == len(set(labels)) for labels in incident.values())
+    seen = set()  # (vertex, label) of the edges so far
+    for u, v, label in term_graph(term).edges:
+        ends = {(u, label), (v, label)}  # a loop meets its vertex once
+        if not seen.isdisjoint(ends):
+            return False
+        seen |= ends
+    return True
 
 
 def eval_term(term: RelTerm, env: dict[str, BinRel]) -> BinRel:

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 import tolrep
 from tolrep import (
-    Algebra, BinRel, BudgetExceeded, OperationTable, closure, compose, converse, expand, subset,
-    union,
+    Algebra, BinRel, BudgetExceeded, OperationTable, TermSyntaxError, closure, compose, converse,
+    expand, subset, union,
 )
 from tolrep.algebras import _grow, eval_op
 from tolrep.decide import WeakRepWitness, _congruence_close
@@ -310,6 +310,54 @@ def term_graph_oracle(term) -> TermGraph:
                 index[r] = len(index)
         out.append((index[ru], index[rv], label))
     return TermGraph(len(index), tuple(out), index[find(source)], index[find(sink)])
+
+
+def regular_oracle(term) -> bool:
+    """Regularity from each vertex's list of incident labels in term_graph_oracle."""
+    graph = term_graph_oracle(term)
+    incident: dict[int, list[str]] = {v: [] for v in range(graph.vertex_count)}
+    for u, v, label in graph.edges:
+        incident[u].append(label)
+        if v != u:
+            incident[v].append(label)
+    return all(len(labels) == len(set(labels)) for labels in incident.values())
+
+
+_NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
+_NAME_CONT = _NAME_START | set("0123456789")
+
+
+def tokenize_oracle(text: str) -> list[tuple[str, str, int]]:
+    """The term lexer as a character loop over two hand-kept character sets."""
+    tokens = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch == "(":
+            tokens.append(("lparen", ch, i))
+            i += 1
+        elif ch == ")":
+            tokens.append(("rparen", ch, i))
+            i += 1
+        elif ch in ("&", "∩"):
+            tokens.append(("intersect", ch, i))
+            i += 1
+        elif ch == "∘":
+            tokens.append(("compose", ch, i))
+            i += 1
+        elif ch in _NAME_START:
+            start = i
+            while i < len(text) and text[i] in _NAME_CONT:
+                i += 1
+            word = text[start:i]
+            tokens.append(("compose" if word == "o" else "name", word, start))
+        else:
+            raise TermSyntaxError(i, f"unexpected character {ch!r}")
+    tokens.append(("end", "", len(text)))
+    return tokens
 
 
 def grow(algebra: Algebra, rel: BinRel, extra) -> BinRel:

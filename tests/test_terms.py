@@ -2,7 +2,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import binrels_on, eval_oracle, term_graph_oracle, terms
+from helpers import (
+    binrels_on, eval_oracle, regular_oracle, term_graph_oracle, terms, tokenize_oracle,
+)
 from tolrep import BinRel, DimensionError, TermSyntaxError
 from tolrep.terms import (
     MAX_TERM_DEPTH,
@@ -10,6 +12,7 @@ from tolrep.terms import (
     Intersect,
     TermGraph,
     Var,
+    _tokenize,
     eval_term,
     is_regular,
     parse_term,
@@ -103,6 +106,19 @@ class TestParsing:
     def test_variables(self):
         assert term_variables(parse_term("x o y & x")) == {"x", "y"}
 
+    # ASCII name characters, the symbols, a non-ASCII letter, an unexpected
+    # character and ASCII and Unicode spaces
+    @given(st.text(st.sampled_from(list("xyzXYZ_09o()&∩∘é? \t\n\x0b\u00a0\u2003"))))
+    def test_tokens_match_character_loop_oracle(self, text):
+        try:
+            expected = tokenize_oracle(text)
+        except TermSyntaxError as exc:
+            with pytest.raises(TermSyntaxError) as got:
+                _tokenize(text)
+            assert (got.value.position, str(got.value)) == (exc.position, str(exc))
+        else:
+            assert _tokenize(text) == expected
+
 
 class TestTermGraph:
     def test_single_variable(self):
@@ -158,6 +174,10 @@ class TestRegularity:
     def test_shared_endpoint_breaks_regularity(self):
         assert not is_regular(parse_term("x o y & x o z"))
         assert not is_regular(parse_term("(x & y) o (x & z)"))
+
+    @given(terms)
+    def test_matches_incident_label_oracle(self, term):
+        assert is_regular(term) == regular_oracle(term)
 
     @given(terms)
     def test_invariant_under_renaming(self, term):
