@@ -22,7 +22,7 @@ from . import decide
 from .algebras import classify_relation, expand
 from .corpus import corpus_get, corpus_names
 from .document import Document, _rel_block, parse_document, print_document
-from .errors import BudgetExceeded, DocumentError
+from .errors import BudgetExceeded
 from .relations import BinRel, compose
 from .terms import eval_term, is_regular, parse_term
 
@@ -41,9 +41,12 @@ def _pairs_text(rel: BinRel) -> str:
 def _load_document(path: str) -> Document:
     try:
         with open(path, encoding="utf-8") as handle:
-            return parse_document(handle.read())
+            text = handle.read()
     except OSError as err:
-        raise DocumentError(0, f"cannot read {path}: {err.strerror}") from None
+        raise ValueError(f"cannot read {path}: {err.strerror}") from None
+    except UnicodeDecodeError as err:
+        raise ValueError(f"cannot read {path}: {err}") from None
+    return parse_document(text)
 
 
 def _write_text(path: str, text: str) -> None:
@@ -125,9 +128,7 @@ def _cmd_expand(args, doc: Document, rel_name: str, rel: BinRel) -> int:
 def _cmd_enumerate(args, doc: Document) -> int:
     truncated = False
     if args.kind == "admissible":
-        result = decide.enumerate_admissible(doc.algebra, limit=args.limit)
-        rels = list(result.relations)
-        truncated = result.truncated
+        rels, truncated = decide.enumerate_admissible(doc.algebra, limit=args.limit)
     elif args.kind == "tolerances":
         rels = decide.enumerate_tolerances(doc.algebra, limit=args.limit)
     else:
@@ -207,68 +208,53 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, file=True, rel=False):
+    def command(name, handler, help, file=True, rel=False):
+        p = sub.add_parser(name, help=help)
         if file:
             p.add_argument("file", help="algebra document")
         p.add_argument("--json", action="store_true", help="structured output")
         if rel:
             p.add_argument("--rel", help="relation name (defaults to the only one)")
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("check", help="classify a named relation")
-    common(p, rel=True)
-    p.set_defaults(handler=_cmd_check)
+    command("check", _cmd_check, "classify a named relation", rel=True)
 
-    p = sub.add_parser("represent", help="decide theta = R o R-converse")
-    common(p, rel=True)
+    p = command("represent", _cmd_represent, "decide theta = R o R-converse", rel=True)
     p.add_argument("--witness", action="store_true", help="print the witness relation")
     p.add_argument("--node-budget", type=int, default=decide.DEFAULT_NODE_BUDGET)
-    p.set_defaults(handler=_cmd_represent)
 
-    p = sub.add_parser("weak-represent", help="decide theta as an intersection of composites")
-    common(p, rel=True)
+    p = command("weak-represent", _cmd_weak_represent,
+                "decide theta as an intersection of composites", rel=True)
     p.add_argument("--witness", action="store_true", help="print the separator family")
     p.add_argument("--rel-budget", type=int, default=decide.DEFAULT_REL_BUDGET)
-    p.set_defaults(handler=_cmd_weak_represent)
 
-    p = sub.add_parser("expand", help="adjoin all unary maps into theta-related pairs")
-    common(p, rel=True)
+    p = command("expand", _cmd_expand, "adjoin all unary maps into theta-related pairs", rel=True)
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(handler=_cmd_expand)
 
-    p = sub.add_parser("enumerate", help="list admissible relations, tolerances or congruences")
-    common(p)
+    p = command("enumerate", _cmd_enumerate,
+                "list admissible relations, tolerances or congruences")
     p.add_argument("--kind", required=True,
                    choices=["admissible", "tolerances", "congruences"])
     p.add_argument("--limit", type=int, default=decide.DEFAULT_REL_BUDGET)
-    p.set_defaults(handler=_cmd_enumerate)
 
-    p = sub.add_parser("permutable", help="check that all congruence pairs permute")
-    common(p)
+    p = command("permutable", _cmd_permutable, "check that all congruence pairs permute")
     p.add_argument("--rel-budget", type=int, default=decide.DEFAULT_REL_BUDGET)
-    p.set_defaults(handler=_cmd_permutable)
 
-    p = sub.add_parser("term-eval", help="evaluate a composition/intersection term")
-    common(p)
+    p = command("term-eval", _cmd_term_eval, "evaluate a composition/intersection term")
     p.add_argument("--term", required=True)
     p.add_argument("--bind", action="append", metavar="VAR=REL")
     p.add_argument("--square", action="store_true",
                    help="replace each binding theta by theta o theta first")
-    p.set_defaults(handler=_cmd_term_eval)
 
-    p = sub.add_parser("term-regular", help="check term regularity")
-    common(p, file=False)
+    p = command("term-regular", _cmd_term_regular, "check term regularity", file=False)
     p.add_argument("--term", required=True)
-    p.set_defaults(handler=_cmd_term_regular)
 
-    p = sub.add_parser("corpus", help="print or write a bundled algebra document")
-    common(p, file=False)
+    p = command("corpus", _cmd_corpus, "print or write a bundled algebra document", file=False)
     p.add_argument("name", help=f"one of: {', '.join(corpus_names())}")
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(handler=_cmd_corpus)
 
-    p = sub.add_parser("verify-paper", help="run the built-in verification suite")
-    common(p, file=False)
-    p.set_defaults(handler=_cmd_verify_paper)
+    command("verify-paper", _cmd_verify_paper, "run the built-in verification suite", file=False)
 
     return parser
 

@@ -71,12 +71,18 @@ _STRAY = "values outside an op or rel block"
 
 
 def parse_document(text: str) -> Document:
-    """Parse the document format; all failures carry the offending line.
+    r"""Parse the document format; all failures carry the offending line.
 
     The non-blank lines fall into blocks, each a keyword line and the
-    integer lines below it, and each block is checked whole, in order.
-    Lines end at "\n" alone, as grep -n counts them; the "\r" of a CRLF
-    ending is whitespace, and a final "\n" starts no line.
+    integer lines below it, and each block is checked whole, in order, so
+    the first faulty line is the one reported.  Only op and rel blocks
+    take integer lines: one before any keyword, under algebra or size, or
+    past a full op table is an error on that line.  An op table may start
+    on its keyword line, and one cut short is reported where its block
+    ends.  An op line whose n ** ARITY entries cannot fit in the text is
+    refused on that line.  Lines end at "\n" alone, as grep -n counts
+    them (a form feed or another Unicode line break starts no line); the
+    "\r" of a CRLF ending is whitespace, and a final "\n" starts no line.
     """
     lines = text.split("\n")
     if not lines[-1]:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from helpers import run_python
 from tolrep import (Algebra, BinRel, Document, DocumentError, corpus_get, parse_document,
                     print_document, verify)
+from tolrep import cli
 from tolrep.cli import run
 from tolrep.document import MAX_SIZE
 
@@ -585,6 +586,57 @@ class TestNegativeBudgets:
     def test_reported_before_non_tolerance(self, tmp_path, capsys, argv, message):
         assert run([argv[0], write(tmp_path, SHIFT), *argv[1:]]) == 2
         assert capsys.readouterr().err == f"error: {message} must not be negative, got -1\n"
+
+
+class TestUnreadableDocument:
+    @pytest.mark.parametrize("name, reason", [
+        ("missing.alg", "No such file or directory"),
+        ("", "Is a directory"),
+        ("bad.alg", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    ], ids=["missing", "directory", "not-utf-8"])
+    def test_usage_error_names_the_path(self, tmp_path, capsys, name, reason):
+        (tmp_path / "bad.alg").write_bytes(b"\xffalgebra a\nsize 1\n")
+        path = str(tmp_path / name)
+        assert run(["check", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot read {path}: {reason}\n"
+
+
+# Each command's argument names, defaults and handler, parsed from its
+# minimal argv: a command declared without --json, --rel or a budget
+# default shows up here.
+COMMAND_ARGS = [
+    (["check", "F"], {"file": "F", "json": False, "rel": None, "handler": cli._cmd_check}),
+    (["represent", "F"], {"file": "F", "json": False, "rel": None, "witness": False,
+                          "node_budget": 1_000_000, "handler": cli._cmd_represent}),
+    (["weak-represent", "F"], {"file": "F", "json": False, "rel": None, "witness": False,
+                               "rel_budget": 100_000,
+                               "handler": cli._cmd_weak_represent}),
+    (["expand", "F", "-o", "OUT"], {"file": "F", "json": False, "rel": None,
+                                    "output": "OUT", "handler": cli._cmd_expand}),
+    (["enumerate", "F", "--kind", "admissible"], {
+        "file": "F", "json": False, "kind": "admissible", "limit": 100_000,
+        "handler": cli._cmd_enumerate}),
+    (["permutable", "F"], {"file": "F", "json": False, "rel_budget": 100_000,
+                           "handler": cli._cmd_permutable}),
+    (["term-eval", "F", "--term", "x"], {"file": "F", "json": False, "term": "x",
+                                         "bind": None, "square": False,
+                                         "handler": cli._cmd_term_eval}),
+    (["term-regular", "--term", "x"], {"json": False, "term": "x",
+                                       "handler": cli._cmd_term_regular}),
+    (["corpus", "n5"], {"json": False, "name": "n5", "output": None,
+                        "handler": cli._cmd_corpus}),
+    (["verify-paper"], {"json": False, "handler": cli._cmd_verify_paper}),
+]
+
+
+class TestCommandArguments:
+    @pytest.mark.parametrize("argv, expected", COMMAND_ARGS,
+                             ids=[argv[0] for argv, _ in COMMAND_ARGS])
+    def test_names_defaults_and_handler(self, argv, expected):
+        args = vars(cli._build_parser().parse_args(argv))
+        assert args == {"command": argv[0], **expected}
 
 
 class TestArgumentErrors:

@@ -866,6 +866,24 @@ class TestJoinClosure:
                 assert rel._codes is None
                 assert list(rel._pair_codes()) == [a * alg.n + b for a, b in rel.pairs()]
 
+    @settings(max_examples=60)
+    @given(algebras(max_n=4, max_arity=3), st.data())
+    def test_lists_the_admissible_relations_inside_a_tolerance(self, alg, data):
+        # Θ is admissible, so the principal of each of its pairs, and every
+        # join of relations inside Θ, stays inside Θ: given Θ's pairs, the
+        # admissible enumeration lists exactly the admissible R ⊆ Θ.
+        n = alg.n
+        point = st.integers(0, n - 1)
+        seed = data.draw(st.lists(st.tuples(point, point), max_size=4))
+        theta = closure(alg, seed, "reflexive-symmetric")
+        off = [(a, b) for a, b in theta.pairs() if a != b]
+        bottom, _, join = join_arguments(alg, "admissible")
+        got = list(_join_closure(bottom, off, join))
+        subsets = (BinRel.from_pairs(n, chosen, reflexive=True)
+                   for k in range(len(off) + 1) for chosen in combinations(off, k))
+        assert len(got) == len(set(got))
+        assert set(got) == {rel for rel in subsets if compatible_oracle(alg, rel)}
+
     @pytest.mark.parametrize("name, kind, members, joins", [
         ("five_set", "tolerance", 1024, 1023),
         ("s7_semilattice", "tolerance", 40069, 40068),
