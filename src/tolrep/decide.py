@@ -15,7 +15,7 @@ from typing import Iterator, NamedTuple, Optional
 
 from .algebras import Algebra, _grow, _reflexive_symmetric, _require_tolerance, is_compatible
 from .errors import BudgetExceeded
-from .relations import BinRel, _shape_flags, compose, converse, intersect, subset, union
+from .relations import BinRel, _shape_flags, compose, converse, intersect, subset
 
 __all__ = [
     "DEFAULT_NODE_BUDGET",
@@ -543,39 +543,66 @@ def enumerate_tolerances(algebra: Algebra, limit: int = DEFAULT_REL_BUDGET) -> l
     return _lattice(members, limit, "tolerance")
 
 
-def _congruence_close(rel: BinRel) -> BinRel:
-    """Transitive closure by Warshall on the bit rows: the least congruence over rel.
+def _congruence_close(rel: BinRel, extra: BinRel) -> BinRel:
+    """The least congruence holding rel and extra, by merging rel's classes.
 
-    rel must be reflexive and symmetric, and its transitive closure must be
-    compatible.  Then that closure is a congruence, and the least one
-    holding rel, so no compatibility closure runs.  This holds for a closed
-    tolerance T: its transitive closure is the union of the chain
+    rel must be an equivalence, so each of its rows is its point's class,
+    and extra must be reflexive and symmetric.  rows starts as rel's rows.
+    For each point a whose row extra[a] is not inside rows[a], the classes
+    that extra[a] meets are ORed into one mask, which becomes the row of
+    every point in it.  No compatibility closure runs.
+
+    (a) rows is always a partition into classes, each point's row its
+    class: a merge replaces whole classes by their union.  Processing a
+    puts extra[a] inside a's class, and classes only grow, so it stays
+    there, as does every pair of rel.  The result is thus an equivalence
+    holding rel ∪ extra.
+    (b) Every merge is forced: let E be any equivalence holding rel and
+    extra.  Each class of rel lies in one class of E.  If every class in
+    rows does before a merge, each class that extra[a] meets holds an x
+    with (a, x) in extra, so lies in E's class of x, which is E's class of
+    a; so the merged class lies in it too.  This holds also when a class
+    met is itself the result of an earlier merge, since the claim covers
+    every class at every step.  So each class of the result lies in a
+    class of E, and the result is the least equivalence holding rel ∪
+    extra, which is the transitive closure of that reflexive symmetric
+    relation.
+    (c) That transitive closure is compatible in the two cases used here,
+    so the result is the least congruence holding both.  For the diagonal
+    and a closed tolerance T, it is the union of the chain
     T ⊆ T² ⊆ ..., and each T^k is compatible, as a composite of compatible
-    relations is.  It holds too for the union of two congruences α and β,
-    whose transitive closure is the union of the chain (α∘β)^k.
+    relations is.  For two congruences α and β, it is the union of the
+    chain (α∘β)^k.
     """
     n = rel.n
     rows = list(rel.rows)
-    for k in range(n):
-        bit = 1 << k
-        for a in range(n):
-            if rows[a] & bit:
-                rows[a] |= rows[k]
+    for a, row in enumerate(extra.rows):
+        merged = rows[a]
+        row &= ~merged
+        if row:
+            while row:
+                merged |= rows[(row & -row).bit_length() - 1]
+                row &= ~merged
+            m = merged
+            while m:
+                low = m & -m
+                rows[low.bit_length() - 1] = merged
+                m ^= low
     return BinRel._trusted(n, tuple(rows))
 
 
 def enumerate_congruences(algebra: Algebra, limit: int = DEFAULT_REL_BUDGET) -> list[BinRel]:
     """All congruences: _join_closure over the pairs a < b with principals Cg(a, b).
 
-    Cg(a, b) is the transitive closure of the principal tolerance of (a, b),
-    and the join of two congruences that of their union (see
-    _congruence_close).
+    Cg(a, b) closes the diagonal's classes over the principal tolerance of
+    (a, b), and the join of two congruences merges the classes of one
+    over the other (see _congruence_close).
     """
     n = algebra.n
     diag = BinRel.diagonal(n)
-    cg = {(a, b): _congruence_close(_grow(algebra, diag, ((a, b), (b, a))))
+    cg = {(a, b): _congruence_close(diag, _grow(algebra, diag, ((a, b), (b, a))))
           for a in range(n) for b in range(a + 1, n)}
-    members = _join_closure(diag, cg, lambda r, pair: _congruence_close(union(r, cg[pair])))
+    members = _join_closure(diag, cg, lambda r, pair: _congruence_close(r, cg[pair]))
     return _lattice(members, limit, "congruence")
 
 

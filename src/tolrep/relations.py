@@ -125,7 +125,7 @@ class BinRel:
         return pairs
 
     def pair_count(self) -> int:
-        return sum(row.bit_count() for row in self.rows)
+        return sum(map(int.bit_count, self.rows))
 
     def _pair_codes(self) -> Sequence[int]:
         """The packed pair codes: those kept, else read off the rows row-major and kept."""

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import tolrep
 from tolrep import (
     Algebra, BinRel, BudgetExceeded, OperationTable, TermSyntaxError, closure, compose, converse,
-    expand, subset, union,
+    expand, subset,
 )
 from tolrep.algebras import _grow, eval_op
 from tolrep.decide import WeakRepWitness, _congruence_close
@@ -213,6 +213,23 @@ def congruence_close_oracle(algebra: Algebra, rel: BinRel) -> BinRel:
         if closed == pairs:
             return BinRel.from_pairs(algebra.n, pairs)
         pairs = closed
+
+
+def warshall_close_oracle(rel: BinRel) -> BinRel:
+    """The transitive closure of rel, by Warshall's algorithm on the bit rows.
+
+    For each k in turn, every row holding k takes in row k.  This was the
+    package's congruence closure before it merged classes; on a reflexive
+    symmetric relation it gives the least equivalence holding it.
+    """
+    n = rel.n
+    rows = list(rel.rows)
+    for k in range(n):
+        bit = 1 << k
+        for a in range(n):
+            if rows[a] & bit:
+                rows[a] |= rows[k]
+    return BinRel(n, rows)
 
 
 def compatible_oracle(algebra: Algebra, rel: BinRel) -> bool:
@@ -492,9 +509,9 @@ def join_arguments(algebra: Algebra, kind: str):
     if kind == "tolerance":
         pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
         return diag, pairs, lambda r, pair: _grow(algebra, r, (pair, pair[::-1]))
-    cg = {(a, b): _congruence_close(grow(algebra, diag, ((a, b), (b, a))))
+    cg = {(a, b): _congruence_close(diag, grow(algebra, diag, ((a, b), (b, a))))
           for a in range(n) for b in range(a + 1, n)}
-    return diag, cg, lambda r, pair: _congruence_close(union(r, cg[pair]))
+    return diag, cg, lambda r, pair: _congruence_close(r, cg[pair])
 
 
 def join_every_principal_oracle(bottom, pairs, join):

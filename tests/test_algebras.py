@@ -258,11 +258,14 @@ class TestTrustedConstruction:
         n = alg.n
         seed, extra = data.draw(seed_and_extra(alg))
         r, s = data.draw(binrels_on(n)), data.draw(binrels_on(n))
+        diag = BinRel.diagonal(n)
         tolerance = closure(alg, seed, "reflexive-symmetric")
-        built = [closure(alg, seed, "reflexive"), tolerance,
-                 grow(alg, tolerance, extra + [(b, a) for a, b in extra]),
+        grown = grow(alg, tolerance, extra + [(b, a) for a, b in extra])
+        congruence = _congruence_close(diag, tolerance)
+        built = [closure(alg, seed, "reflexive"), tolerance, grown,
                  compose(r, s), converse(r), intersect(r, s), union(r, s),
-                 _congruence_close(tolerance), BinRel.diagonal(n)]
+                 congruence, _congruence_close(congruence, _congruence_close(diag, grown)),
+                 diag]
         for rel in built:
             assert type(rel.rows) is tuple
             assert rel == BinRel(rel.n, rel.rows)

@@ -22,6 +22,7 @@ from helpers import (
     relabel_algebra,
     run_python,
     symmetric_algebras,
+    warshall_close_oracle,
     weak_representation_oracle,
 )
 from tolrep import (
@@ -811,13 +812,37 @@ class TestCongruenceClose:
         # The transitive closure of a closed tolerance, or of the union of
         # two congruences, is already compatible: no re-closure is needed.
         tol = data.draw(st.sampled_from(enumerate_tolerances(alg)))
-        cong = _congruence_close(tol)
-        assert cong == congruence_close_oracle(alg, tol)
+        cong = _congruence_close(BinRel.diagonal(alg.n), tol)
+        assert cong == congruence_close_oracle(alg, tol) == warshall_close_oracle(tol)
         assert subset(tol, cong) and subset(compose(cong, cong), cong)
         assert compatible_oracle(alg, cong)
         congruences = st.sampled_from(enumerate_congruences(alg))
-        both = union(data.draw(congruences), data.draw(congruences))
-        assert _congruence_close(both) == congruence_close_oracle(alg, both)
+        alpha, beta = data.draw(congruences), data.draw(congruences)
+        both = union(alpha, beta)
+        joined = _congruence_close(alpha, beta)
+        assert joined == congruence_close_oracle(alg, both) == warshall_close_oracle(both)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_least_equivalence_of_every_partition_and_symmetric_relation(self, n):
+        # With no operations to respect, the result is the least equivalence
+        # holding both arguments, which Warshall computes.  Every partition
+        # of n points against every reflexive symmetric relation: some
+        # failures of a row that merges only one class need n = 5.
+        partitions = {BinRel(n, [sum(1 << b for b in range(n) if blocks[b] == blocks[a])
+                                 for a in range(n)])
+                      for blocks in product(range(n), repeat=n)}
+        pairs = list(combinations(range(n), 2))
+        for rel in partitions:
+            for k in range(len(pairs) + 1):
+                for chosen in combinations(pairs, k):
+                    extra = BinRel.from_pairs(n, chosen, reflexive=True, symmetric=True)
+                    assert _congruence_close(rel, extra) == warshall_close_oracle(union(rel, extra))
+
+    def test_merge_cascades_into_a_class_merged_earlier(self):
+        # Row 1 merges {0, 1} with {2, 3}; row 3 then merges that class with {4, 5}.
+        rel = BinRel.from_pairs(6, [(0, 1), (2, 3), (4, 5)], reflexive=True, symmetric=True)
+        extra = BinRel.from_pairs(6, [(1, 2), (3, 4)], reflexive=True, symmetric=True)
+        assert _congruence_close(rel, extra) == BinRel.full(6)
 
 
 class TestJoinClosure:
@@ -884,6 +909,19 @@ class TestJoinClosure:
         assert len(got) == len(set(got))
         assert set(got) == {rel for rel in subsets if compatible_oracle(alg, rel)}
 
+    @staticmethod
+    def members_and_joins(name, kind):
+        """How many members _join_closure lists for a corpus entry, and how many joins it calls."""
+        bottom, pairs, join = join_arguments(corpus_get(name).algebra, kind)
+        calls = 0
+
+        def counted(rel, pair):
+            nonlocal calls
+            calls += 1
+            return join(rel, pair)
+
+        return sum(1 for _ in _join_closure(bottom, pairs, counted)), calls
+
     @pytest.mark.parametrize("name, kind, members, joins", [
         ("five_set", "tolerance", 1024, 1023),
         ("s7_semilattice", "tolerance", 40069, 40068),
@@ -893,16 +931,20 @@ class TestJoinClosure:
     def test_every_join_lists_a_new_member(self, name, kind, members, joins):
         # joining every item with every principal takes 5 120 and 330 120
         # joins for the first two tolerance listings
-        bottom, pairs, join = join_arguments(corpus_get(name).algebra, kind)
-        calls = 0
+        assert self.members_and_joins(name, kind) == (members, joins)
 
-        def counted(rel, pair):
-            nonlocal calls
-            calls += 1
-            return join(rel, pair)
-
-        assert sum(1 for _ in _join_closure(bottom, pairs, counted)) == members
-        assert calls == joins
+    @pytest.mark.parametrize("name, members, joins", [
+        ("five_set", 52, 161),
+        ("chain(6)", 32, 77),
+        ("s7_semilattice", 64, 462),
+        ("l7_majority", 64, 462),
+        ("n5", 5, 11),
+        ("m3", 2, 10),
+    ])
+    def test_congruence_joins(self, name, members, joins):
+        # Principals included.  A congruence join often lands on a member
+        # reached another way, which the prefix rule does not skip.
+        assert self.members_and_joins(name, "congruence") == (members, joins)
 
 
 class TestToleranceJoin:
